@@ -4,90 +4,30 @@ The logical layer (gates) runs the ideal five-step sequence; the
 physical layer (cavity, experiment) replays it with resonant and
 Stark pulses interleaved with two cavity-assisted collisions, under
 either the exact coupling Hamiltonian or its dispersive approximation.
+The package root exports what the command line uses; everything else
+is imported from its module.
 """
 
-from .cavity import (
-    CouplingParams,
-    PhysicalBasis,
-    PhysicalState,
-    atomic_marginal,
-    basis_state,
-    effective_qpg_unitary,
-    evolve_collision,
-    excitation_number,
-    hamiltonian_effective,
-    hamiltonian_exact,
-    qpg_gate_time,
-)
 from .experiment import (
     ConfigError,
     ExperimentConfig,
-    PulseOp,
-    RunResult,
-    compile_pulses,
     feasibility_report,
     run_physical,
     sweep_detuning,
     sweep_error,
 )
-from .gates import (
-    grover_sequence,
-    hadamard,
-    i_qpg,
-    oracle_angles,
-    p_gate,
-    run_ideal,
-    s_gate,
-    x_rot,
-    z_rot,
-)
-from .linalg import (
-    NumericalError,
-    apply,
-    embed,
-    equal_up_to_global_phase,
-    overlap_probability,
-    propagator,
-    tensor,
-)
+from .gates import run_ideal
+from .linalg import NumericalError
 
 __all__ = [
     "ConfigError",
-    "CouplingParams",
     "ExperimentConfig",
     "NumericalError",
-    "PhysicalBasis",
-    "PhysicalState",
-    "PulseOp",
-    "RunResult",
-    "apply",
-    "atomic_marginal",
-    "basis_state",
-    "compile_pulses",
-    "effective_qpg_unitary",
-    "embed",
-    "equal_up_to_global_phase",
-    "evolve_collision",
-    "excitation_number",
     "feasibility_report",
-    "grover_sequence",
-    "hadamard",
-    "hamiltonian_effective",
-    "hamiltonian_exact",
-    "i_qpg",
-    "oracle_angles",
-    "overlap_probability",
-    "p_gate",
-    "propagator",
-    "qpg_gate_time",
     "run_ideal",
     "run_physical",
-    "s_gate",
     "sweep_detuning",
     "sweep_error",
-    "tensor",
-    "x_rot",
-    "z_rot",
 ]
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import propagator, tensor
+from .linalg import NumericalError, propagator, tensor
 
 # Level indices within each atom.
 A1_G, A1_E = 0, 1
@@ -48,6 +48,10 @@ EFFECTIVE_BASIS = ("g1g2", "g1i2", "e1g2", "g1e2", "e1i2")
 #: EFFECTIVE_BASIS; the exchange partner g1e2 sits between the last two.
 EFFECTIVE_LOGICAL_INDICES = (0, 1, 2, 4)
 
+#: Where each EFFECTIVE_BASIS state sits among the six two-atom states
+#: a1 * 3 + a2 (g1g2, g1i2, g1e2, e1g2, e1i2, e1e2).
+EFFECTIVE_IN_ATOMIC = (0, 1, 3, 2, 4)
+
 
 @dataclass
 class PhysicalBasis:
@@ -58,8 +62,6 @@ class PhysicalBasis:
     """
 
     n_max: int
-    atom1_levels: tuple = ("g", "e")
-    atom2_levels: tuple = ("g", "i", "e")
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -114,7 +116,8 @@ class CouplingParams:
     lam:   derived collision rate omega^2 / (4 delta) (rad/s)
 
     The constructor enforces delta/omega >= 1 and warns below 4, where
-    the dispersive picture behind the effective generator degrades.
+    the dispersive picture behind the effective generator degrades; an
+    overflowing omega^2 raises NumericalError.
     """
 
     omega: float  # rad/s
@@ -136,19 +139,25 @@ class CouplingParams:
                 "the effective collision picture degrades this close to resonance",
                 stacklevel=2,
             )
-        self.lam = self.omega**2 / (4.0 * self.delta)
+        try:
+            self.lam = self.omega**2 / (4.0 * self.delta)
+        except OverflowError:
+            raise NumericalError(f"omega^2 overflows at omega = {self.omega}") from None
 
     @classmethod
     def from_ratio(cls, omega_over_2pi, delta_over_omega):
         """Build from an ordinary frequency (Hz) and the ratio delta/omega."""
         omega = 2.0 * np.pi * omega_over_2pi
-        return cls(omega=omega, delta=delta_over_omega * omega)
+        delta = delta_over_omega * omega
+        if not (np.isfinite(omega) and np.isfinite(delta)):
+            raise NumericalError(f"coupling frequencies overflow: omega = {omega}, delta = {delta}")
+        return cls(omega=omega, delta=delta)
 
 
-def _lowering(dim, lower_from, lower_to):
-    """|lower_to><lower_from| on a single atom of the given dimension."""
+def _ket_bra(dim, row, col):
+    """|row><col| on a single atom of the given dimension."""
     s = np.zeros((dim, dim), dtype=complex)
-    s[lower_to, lower_from] = 1.0
+    s[row, col] = 1.0
     return s
 
 
@@ -168,13 +177,10 @@ def hamiltonian_exact(params, basis):
     a = np.diag(np.sqrt(np.arange(1, nf, dtype=float)), k=1).astype(complex)
     adag = a.conj().T
 
-    e1 = np.zeros((2, 2), dtype=complex)
-    e1[A1_E, A1_E] = 1.0
-    e2 = np.zeros((3, 3), dtype=complex)
-    e2[A2_E, A2_E] = 1.0
-
-    s1_minus = _lowering(2, A1_E, A1_G)
-    s2_minus = _lowering(3, A2_E, A2_G)
+    e1 = _ket_bra(2, A1_E, A1_E)
+    e2 = _ket_bra(3, A2_E, A2_E)
+    s1_minus = _ket_bra(2, A1_G, A1_E)
+    s2_minus = _ket_bra(3, A2_G, A2_E)
 
     h = params.delta * (tensor(tensor(e1, eye2), eyef) + tensor(tensor(eye1, e2), eyef))
     g = params.omega / 2.0
@@ -222,34 +228,16 @@ def qpg_gate_time(params):
     return np.pi / params.lam
 
 
-def effective_qpg_unitary():
-    """diag(1, 1, 1, -1) on the logical states (g1g2, g1i2, e1g2, e1i2).
-
-    This is what evolving hamiltonian_effective for pi/lam produces on
-    the logical subspace, up to one global phase: the exchange block
-    has eigenvalues 0 and 2 lam, so it returns to the identity, while
-    e1i2 (shifted by lam, no exchange partner) picks up exactly -1.
-    """
-    return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-
-
 def _effective_hamiltonian_full(params, basis):
-    """The effective generator lifted to the full product space.
+    """hamiltonian_effective lifted to the full product space.
 
-    Literal reading of lam (sum_j |ej><ej| + S1+ S2- + S1- S2+) on the
-    six-state two-atom space (the doubly excited e1 e2 sits at 2 lam
-    with no exchange partner), tensored with the identity on the field.
+    The five EFFECTIVE_BASIS states go to their places among the six
+    two-atom states; the doubly excited e1 e2 sits at 2 lam with no
+    exchange partner; the field carries the identity.
     """
-    lam = params.lam
     atomic = np.zeros((6, 6), dtype=complex)
-    for a1 in range(2):
-        for a2 in range(3):
-            k = a1 * 3 + a2
-            atomic[k, k] = lam * ((a1 == A1_E) + (a2 == A2_E))
-    up = A1_E * 3 + A2_G  # e1 g2
-    down = A1_G * 3 + A2_E  # g1 e2
-    atomic[up, down] = lam
-    atomic[down, up] = lam
+    atomic[np.ix_(EFFECTIVE_IN_ATOMIC, EFFECTIVE_IN_ATOMIC)] = hamiltonian_effective(params)
+    atomic[5, 5] = 2 * params.lam
     return tensor(atomic, np.eye(basis.n_fock, dtype=complex))
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiment import (
+    TARGET_LABELS,
     ConfigError,
     ExperimentConfig,
     feasibility_report,
@@ -58,8 +59,6 @@ def _json_text(obj):
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_text(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj)
     if isinstance(obj, (int, np.integer)):
@@ -105,23 +104,17 @@ def parse_config_file(path):
 def _build_config(args):
     """Defaults, then config file, then flags; returns (ExperimentConfig,
     output path or None, format or None)."""
-    merged = {}
-    output = None
-    fmt = None
-    if getattr(args, "config", None):
-        values = parse_config_file(args.config)
-        output = values.pop("output", None)
-        fmt = values.pop("format", None)
-        merged.update(values)
+    values = parse_config_file(args.config) if args.config else {}
+    output = values.pop("output", None)
+    fmt = values.pop("format", None)
     for key in _CONFIG_TYPES:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    if getattr(args, "output", None) is not None:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    if args.output is not None:
         output = args.output
-    if getattr(args, "format", None) is not None:
+    if args.format is not None:
         fmt = args.format
-    return ExperimentConfig(**merged), output, fmt
+    return ExperimentConfig(**values), output, fmt
 
 
 def _add_config_flags(sp):
@@ -139,13 +132,6 @@ def _add_config_flags(sp):
                     help="rabi_only or all_angles (default rabi_only)")
     sp.add_argument("--output", metavar="PATH", help="write output here instead of stdout")
     sp.add_argument("--format", help="output format")
-
-
-def _parse_points(text):
-    points = [float(p) for p in text.split(",") if p.strip()]
-    if not points:
-        raise ConfigError("sweep needs at least one point")
-    return points
 
 
 def cmd_grover_ideal(args):
@@ -167,10 +153,7 @@ def cmd_simulate(args):
     record = {
         "target": config.target,
         "fidelity": result.fidelity,
-        "populations": {
-            label: result.populations[label]
-            for label in ("g1g2", "g1i2", "e1g2", "e1i2")
-        },
+        "populations": {label: result.populations[label] for label in TARGET_LABELS},
         "leaked_photon_probability": result.leaked_photon_probability,
         "gate_time_s": result.timing.segments_s[0],
         "total_time_s": result.timing.total_s,
@@ -179,27 +162,15 @@ def cmd_simulate(args):
     return 0
 
 
-def _cmd_sweep(args, kind):
+def cmd_sweep(args):
     config, output, fmt = _build_config(args)
     if fmt not in (None, "csv"):
         raise ConfigError(f"sweeps emit csv, not {fmt!r}")
-    points = _parse_points(args.points)
-    if kind == "error":
-        rows = sweep_error(config, points)
-    else:
-        rows = sweep_detuning(config, points)
+    rows = args.sweep(config, [float(p) for p in args.points.split(",") if p.strip()])
     lines = ["param,fidelity"]
     lines += [f"{_fmt(p)},{_fmt(f)}" for p, f in rows]
     _emit("\n".join(lines) + "\n", output)
     return 0
-
-
-def cmd_sweep_error(args):
-    return _cmd_sweep(args, "error")
-
-
-def cmd_sweep_detuning(args):
-    return _cmd_sweep(args, "detuning")
 
 
 _FEASIBILITY_ROWS = (
@@ -262,13 +233,13 @@ def build_parser():
     _add_config_flags(sp)
     sp.add_argument("--points", default=DEFAULT_ERROR_POINTS,
                     help=f"comma-separated epsilons (default {DEFAULT_ERROR_POINTS})")
-    sp.set_defaults(func=cmd_sweep_error)
+    sp.set_defaults(func=cmd_sweep, sweep=sweep_error)
 
     sp = sub.add_parser("sweep-detuning", help="fidelity vs delta/omega, CSV")
     _add_config_flags(sp)
     sp.add_argument("--points", default=DEFAULT_DETUNING_POINTS,
                     help=f"comma-separated ratios (default {DEFAULT_DETUNING_POINTS})")
-    sp.set_defaults(func=cmd_sweep_detuning)
+    sp.set_defaults(func=cmd_sweep, sweep=sweep_detuning)
 
     sp = sub.add_parser("feasibility", help="timing budget, table or JSON")
     sp.add_argument("--omega-over-2pi", dest="omega_over_2pi", type=float, default=5.0e4)
@@ -294,10 +265,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,8 @@ collisions phase-consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,11 +52,11 @@ from .cavity import (
 from .gates import oracle_angles, z_rot
 from .linalg import NumericalError, apply, embed
 
-#: Axis phase selecting a rotation about y.
-AXIS_Y = np.pi / 2
+#: Marginal-table label of each target item, indexed by target.
+TARGET_LABELS = ("g1g2", "g1i2", "e1g2", "e1i2")
 
-#: Marginal-table label for each target item.
-TARGET_LABELS = {0: "g1g2", 1: "g1i2", 2: "e1g2", 3: "e1i2"}
+#: Label of each atomic level pair, in atomic_marginal's row-major order.
+POPULATION_LABELS = ("g1g2", "g1i2", "g1e2", "e1g2", "e1i2", "e1e2")
 
 COLLISION_MODELS = ("exact", "effective")
 ERROR_MODELS = ("rabi_only", "all_angles")
@@ -63,6 +64,14 @@ ERROR_MODELS = ("rabi_only", "all_angles")
 
 class ConfigError(ValueError):
     """An experiment configuration violates its invariants."""
+
+
+def _check_positive_finite(**values):
+    """Refuse, by name, any physical input that is not a positive finite
+    number."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -76,10 +85,9 @@ class ExperimentConfig:
     error_model: str = "rabi_only"
 
     def __post_init__(self):
-        if not self.omega_over_2pi > 0:
-            raise ConfigError(f"omega_over_2pi must be positive, got {self.omega_over_2pi}")
-        if not self.delta_over_omega >= 1:
-            raise ConfigError(f"delta_over_omega must be at least 1, got {self.delta_over_omega}")
+        _check_positive_finite(omega_over_2pi=self.omega_over_2pi)
+        if not 1 <= self.delta_over_omega < math.inf:
+            raise ConfigError(f"delta_over_omega must be finite and at least 1, got {self.delta_over_omega}")
         if self.target not in (0, 1, 2, 3):
             raise ConfigError(f"target must be one of 0, 1, 2, 3, got {self.target!r}")
         if not abs(self.epsilon) <= 0.5:
@@ -96,15 +104,14 @@ class ExperimentConfig:
 class PulseOp:
     """One step of the physical sequence.
 
-    kind "rabi_rotation": resonant rotation by `angle` about the axis at
-    `axis_phase` in the equatorial plane, on atom 1 or 2.
+    kind "rabi_rotation": resonant rotation by `angle` about y, on atom
+    1 or 2; the sources drive no other axis.
     kind "stark_z": Stark-induced z rotation by `angle` on one atom.
     kind "collision": joint evolution in the cavity for duration_s.
     """
 
     kind: str
     angle: float = 0.0
-    axis_phase: float = 0.0
     atom: int = 0
     duration_s: float = 0.0
 
@@ -121,8 +128,8 @@ class PulseOp:
             raise ValueError(f"unknown pulse kind {self.kind!r}")
 
     @classmethod
-    def rabi(cls, angle, atom, axis_phase=AXIS_Y):
-        return cls(kind="rabi_rotation", angle=angle, axis_phase=axis_phase, atom=atom)
+    def rabi(cls, angle, atom):
+        return cls(kind="rabi_rotation", angle=angle, atom=atom)
 
     @classmethod
     def stark(cls, angle, atom):
@@ -160,16 +167,11 @@ def compile_pulses(target, epsilon, error_model, gate_time_s):
     return ops
 
 
-def rabi_unitary(angle, axis_phase):
-    """Rotation by `angle` about the equatorial axis at `axis_phase`
-    (axis_phase pi/2 is a y rotation)."""
+def rabi_unitary(angle):
+    """Resonant rotation by `angle` about y, the real matrix R_y(angle)."""
     c = np.cos(angle / 2)
     s = np.sin(angle / 2)
-    ax = np.cos(axis_phase)
-    ay = np.sin(axis_phase)
-    return np.array(
-        [[c, -1j * s * (ax - 1j * ay)], [-1j * s * (ax + 1j * ay), c]]
-    )
+    return np.array([[c, -s], [s, c]])
 
 
 def pulse_unitary(op, basis):
@@ -180,7 +182,7 @@ def pulse_unitary(op, basis):
     only.
     """
     if op.kind == "rabi_rotation":
-        u2 = rabi_unitary(op.angle, op.axis_phase)
+        u2 = rabi_unitary(op.angle)
     elif op.kind == "stark_z":
         u2 = z_rot(op.angle)
     else:
@@ -210,12 +212,6 @@ class RunResult:
     leaked_photon_probability: float
 
 
-def _population_labels(basis):
-    return [
-        f"{l1}1{l2}2" for l1 in basis.atom1_levels for l2 in basis.atom2_levels
-    ]
-
-
 def run_physical(config):
     """Run the full physical sequence for one configuration."""
     params = CouplingParams.from_ratio(config.omega_over_2pi, config.delta_over_omega)
@@ -243,7 +239,7 @@ def run_physical(config):
     table = atomic_marginal(state)
     populations = {
         label: float(p)
-        for label, p in zip(_population_labels(basis), table.ravel())
+        for label, p in zip(POPULATION_LABELS, table.ravel())
     }
     probs = np.abs(state.amplitudes) ** 2
     leaked = float(probs.reshape(2, 3, basis.n_fock)[:, :, 1:].sum())
@@ -256,34 +252,29 @@ def run_physical(config):
     )
 
 
-def sweep_error(config, epsilons):
-    """One run per epsilon, everything else fixed. Returns
-    [(epsilon, fidelity), ...] in input order."""
-    if len(epsilons) == 0:
-        raise ConfigError("sweep_error needs at least one epsilon")
+def _sweep(config, field, values, **fixed):
+    """One run per value of `field`, with the `fixed` fields overriding
+    the config. Returns [(value, fidelity), ...] in input order."""
+    if len(values) == 0:
+        raise ConfigError(f"sweep over {field} needs at least one point")
     out = []
-    for eps in epsilons:
-        result = run_physical(replace(config, epsilon=float(eps)))
-        out.append((float(eps), result.fidelity))
+    for value in values:
+        run_cfg = replace(config, **fixed, **{field: float(value)})
+        out.append((float(value), run_physical(run_cfg).fidelity))
     return out
+
+
+def sweep_error(config, epsilons):
+    """Fidelity versus epsilon, everything else fixed. Returns
+    [(epsilon, fidelity), ...] in input order."""
+    return _sweep(config, "epsilon", epsilons)
 
 
 def sweep_detuning(config, ratios):
     """Fidelity versus delta/omega at epsilon 0 under the exact model,
     the convergence study behind the default working point. Returns
     [(ratio, fidelity), ...] in input order."""
-    if len(ratios) == 0:
-        raise ConfigError("sweep_detuning needs at least one ratio")
-    out = []
-    for ratio in ratios:
-        run_cfg = replace(
-            config,
-            delta_over_omega=float(ratio),
-            epsilon=0.0,
-            collision_model="exact",
-        )
-        out.append((float(ratio), run_physical(run_cfg).fidelity))
-    return out
+    return _sweep(config, "delta_over_omega", ratios, epsilon=0.0, collision_model="exact")
 
 
 @dataclass
@@ -316,18 +307,17 @@ def feasibility_report(
     velocity; the total time over the photon lifetime gives the
     pass/warn flag (warn at 0.5 and above). total_time_override_s
     substitutes an externally imposed budget for the derived two-gate
-    time in the velocity and lifetime figures.
+    time in the velocity and lifetime figures. Raises NumericalError
+    when a derived figure is not finite.
     """
-    for name, value in (
-        ("omega_over_2pi", omega_over_2pi),
-        ("delta_over_omega", delta_over_omega),
-        ("interaction_length_m", interaction_length_m),
-        ("photon_lifetime_s", photon_lifetime_s),
-    ):
-        if not value > 0:
-            raise ConfigError(f"{name} must be positive, got {value}")
-    if total_time_override_s is not None and not total_time_override_s > 0:
-        raise ConfigError(f"total_time_override_s must be positive, got {total_time_override_s}")
+    _check_positive_finite(
+        omega_over_2pi=omega_over_2pi,
+        delta_over_omega=delta_over_omega,
+        interaction_length_m=interaction_length_m,
+        photon_lifetime_s=photon_lifetime_s,
+    )
+    if total_time_override_s is not None:
+        _check_positive_finite(total_time_override_s=total_time_override_s)
 
     params = CouplingParams.from_ratio(omega_over_2pi, delta_over_omega)
     gate_time = qpg_gate_time(params)
@@ -341,7 +331,7 @@ def feasibility_report(
         "two gates and 120 us of total interaction are inconsistent with that "
         "arithmetic and are listed for comparison only"
     )
-    return FeasibilityReport(
+    report = FeasibilityReport(
         omega_over_2pi_hz=float(omega_over_2pi),
         delta_over_omega=float(delta_over_omega),
         lambda_over_2pi_hz=params.lam / (2.0 * np.pi),
@@ -355,3 +345,8 @@ def feasibility_report(
         flag="pass" if ratio < 0.5 else "warn",
         note=note,
     )
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NumericalError(f"{f.name} is not finite ({value})")
+    return report

@@ -11,13 +11,13 @@ from cavity_grover.cavity import (
     PhysicalState,
     atomic_marginal,
     basis_state,
-    effective_qpg_unitary,
     evolve_collision,
     excitation_number,
     hamiltonian_effective,
     hamiltonian_exact,
     qpg_gate_time,
 )
+from cavity_grover.gates import i_qpg
 from cavity_grover.linalg import equal_up_to_global_phase, is_hermitian, propagator
 
 OMEGA_OVER_2PI = 5.0e4  # Hz
@@ -316,13 +316,13 @@ class TestEffectiveGenerator:
 
     def test_qpg_unitary_literal(self):
         expected = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-        assert np.array_equal(effective_qpg_unitary(), expected)
+        assert np.array_equal(i_qpg(), expected)
 
     def test_generator_realizes_qpg_on_logical_states(self):
         params = default_params()
         u5 = propagator(hamiltonian_effective(params), qpg_gate_time(params))
         logical = np.ix_(EFFECTIVE_LOGICAL_INDICES, EFFECTIVE_LOGICAL_INDICES)
-        assert equal_up_to_global_phase(u5[logical], effective_qpg_unitary(), tol=1e-10)
+        assert equal_up_to_global_phase(u5[logical], i_qpg(), tol=1e-10)
         # nothing persists on the exchange partner g1e2
         for k in EFFECTIVE_LOGICAL_INDICES:
             assert abs(u5[3, k]) < 1e-10
@@ -337,7 +337,7 @@ class TestEffectiveGenerator:
             out = evolve_collision(basis_state(basis, a1, a2, 0), params, t, "effective")
             for row, (b1, b2) in enumerate(logical_levels):
                 u[row, col] = out.amplitudes[basis.index(b1, b2, 0)]
-        assert equal_up_to_global_phase(u, effective_qpg_unitary(), tol=1e-9)
+        assert equal_up_to_global_phase(u, i_qpg(), tol=1e-9)
 
 
 class TestDispersiveConvergence:

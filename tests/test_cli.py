@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cavity_grover.cli as cli
 from cavity_grover.linalg import NumericalError
@@ -252,6 +257,30 @@ class TestFeasibility:
         assert code == 2
         assert "photon_lifetime_s" in err
 
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            ("--interaction-length=inf", "interaction_length_m"),
+            ("--photon-lifetime=inf", "photon_lifetime_s"),
+            ("--total-time=inf", "total_time_override_s"),
+            ("--delta-over-omega=nan", "delta_over_omega"),
+        ],
+    )
+    def test_rejects_infinite_input_by_name(self, capsys, flag, name):
+        code, out, err = run_cli(capsys, "feasibility", flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name} must be positive and finite")
+
+    def test_infinite_derived_figure_is_numerical(self, capsys):
+        code, out, err = run_cli(
+            capsys, "feasibility", "--total-time=1e300", "--photon-lifetime=1e-300",
+            "--format=json",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical error: lifetime_ratio")
+
 
 class TestExitCodes:
     def test_numerical_failure_is_exit_3(self, capsys, monkeypatch):
@@ -263,7 +292,56 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("numerical error:")
 
+    @pytest.mark.parametrize("command", ["simulate", "feasibility"])
+    def test_overflowing_coupling_is_exit_3(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--omega-over-2pi=1e300")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical error:")
+        assert "Traceback" not in err
+
     def test_config_failure_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--delta-over-omega", "0.5")
         assert code == 2
         assert err.startswith("error:")
+
+
+_RUN_FLAGS = ("--omega-over-2pi", "--delta-over-omega", "--epsilon")
+FUZZ_FLAGS = {
+    "simulate": _RUN_FLAGS,
+    "sweep-error": _RUN_FLAGS + ("--points",),
+    "sweep-detuning": _RUN_FLAGS + ("--points",),
+    "feasibility": (
+        "--omega-over-2pi",
+        "--delta-over-omega",
+        "--interaction-length",
+        "--photon-lifetime",
+        "--total-time",
+    ),
+}
+EDGE_VALUES = (0.0, -0.0, -1.0, -5e-06, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan)
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:inf|nan|\d[\d.]*(?:e[-+]?\d+)?)(?![\w.])", re.IGNORECASE)
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats())
+    flags = draw(st.dictionaries(st.sampled_from(FUZZ_FLAGS[command]), values, max_size=3))
+    # --flag=value: argparse reads a separate "-5e-06" as an option
+    return [command] + [f"{flag}={value!r}" for flag, value in flags.items()]
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(argv=fuzz_argv())
+    def test_every_input_is_answered_or_refused(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        assert (out == "") == (code != 0)
+        for token in NUMBER.findall(out):
+            assert math.isfinite(float(token)), (argv, token)

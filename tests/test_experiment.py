@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cavity_grover.experiment import (
-    AXIS_Y,
     TARGET_LABELS,
     ConfigError,
     ExperimentConfig,
@@ -15,7 +14,7 @@ from cavity_grover.experiment import (
     sweep_detuning,
     sweep_error,
 )
-from cavity_grover.gates import hadamard, oracle_angles, p_gate, s_gate, x_rot, z_rot
+from cavity_grover.gates import hadamard, oracle_angles, p_gate, s_gate, z_rot
 from cavity_grover.cavity import PhysicalBasis
 from cavity_grover.linalg import equal_up_to_global_phase
 
@@ -59,6 +58,8 @@ class TestExperimentConfig:
             ({"n_max": 0}, "n_max"),
             ({"collision_model": "dispersive"}, "collision_model"),
             ({"error_model": "detuning"}, "error_model"),
+            ({"omega_over_2pi": float("inf")}, "omega_over_2pi"),
+            ({"delta_over_omega": float("inf")}, "delta_over_omega"),
         ],
     )
     def test_rejects_bad_field(self, overrides, fragment):
@@ -70,7 +71,6 @@ class TestPulseOp:
     def test_constructors(self):
         rabi = PulseOp.rabi(np.pi / 2, 1)
         assert rabi.kind == "rabi_rotation"
-        assert rabi.axis_phase == AXIS_Y
         stark = PulseOp.stark(np.pi, 2)
         assert stark.kind == "stark_z"
         coll = PulseOp.collision(GATE_TIME)
@@ -114,7 +114,7 @@ class TestCompilePulses:
             if op.kind == "collision" or op.atom != atom:
                 continue
             if op.kind == "rabi_rotation":
-                u = rabi_unitary(op.angle, op.axis_phase) @ u
+                u = rabi_unitary(op.angle) @ u
             else:
                 u = z_rot(op.angle) @ u
         return u
@@ -177,14 +177,10 @@ class TestPulseUnitaries:
             ],
             dtype=complex,
         )
-        assert np.allclose(rabi_unitary(theta, AXIS_Y), expected, atol=1e-15)
-
-    def test_axis_x_matches_gate_convention(self):
-        theta = 1.1
-        assert np.allclose(rabi_unitary(theta, 0.0), x_rot(-theta), atol=1e-15)
+        assert np.allclose(rabi_unitary(theta), expected, atol=1e-15)
 
     def test_unitary(self):
-        u = rabi_unitary(0.4, 1.3)
+        u = rabi_unitary(0.4)
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
     def test_atom2_pulse_spares_e(self):
