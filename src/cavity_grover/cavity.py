@@ -30,6 +30,8 @@ logical state: the quantum phase gate diag(1, 1, 1, -1).
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -116,8 +118,9 @@ class CouplingParams:
     lam:   derived collision rate omega^2 / (4 delta) (rad/s)
 
     The constructor enforces delta/omega >= 1 and warns below 4, where
-    the dispersive picture behind the effective generator degrades; an
-    overflowing omega^2 raises NumericalError.
+    the dispersive picture behind the effective generator degrades.
+    omega^2 or lam outside the normal floats (overflow, or underflow to a
+    subnormal or zero) raises NumericalError, so t = pi/lam is finite.
     """
 
     omega: float  # rad/s
@@ -140,9 +143,13 @@ class CouplingParams:
                 stacklevel=2,
             )
         try:
-            self.lam = self.omega**2 / (4.0 * self.delta)
+            omega_sq = self.omega**2
         except OverflowError:
             raise NumericalError(f"omega^2 overflows at omega = {self.omega}") from None
+        self.lam = omega_sq / (4.0 * self.delta)
+        for name, value in (("omega^2", omega_sq), ("lam", self.lam)):
+            if not sys.float_info.min <= value < math.inf:
+                raise NumericalError(f"{name} = {value} is not a normal float at omega = {self.omega}, delta = {self.delta}")
 
     @classmethod
     def from_ratio(cls, omega_over_2pi, delta_over_omega):
@@ -222,9 +229,7 @@ def hamiltonian_effective(params):
 
 def qpg_gate_time(params):
     """Collision duration pi/lam = 4 pi delta / omega^2 realizing the
-    phase gate."""
-    if not params.lam > 0:
-        raise ValueError(f"gate time needs lam > 0, got {params.lam}")
+    phase gate; finite, since CouplingParams keeps lam a normal float."""
     return np.pi / params.lam
 
 

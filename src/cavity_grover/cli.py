@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -33,15 +34,8 @@ from .experiment import (
 from .gates import run_ideal
 from .linalg import NumericalError
 
-_CONFIG_TYPES = {
-    "omega_over_2pi": float,
-    "delta_over_omega": float,
-    "target": int,
-    "epsilon": float,
-    "n_max": int,
-    "collision_model": str,
-    "error_model": str,
-}
+#: Config-file type of each ExperimentConfig field, read off its default.
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 _FILE_KEYS = dict(_CONFIG_TYPES, output=str, format=str)
 
 DEFAULT_ERROR_POINTS = "0,0.01,0.02,0.03,0.04,0.05"

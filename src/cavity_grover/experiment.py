@@ -1,11 +1,11 @@
 """End-to-end physical runs of the search sequence.
 
 A run starts from both atoms in g with the cavity in vacuum, applies
-the compiled pulse list, and reads the atomic populations at the end.
-Single-qubit pulses are instantaneous unitaries (their real duration
-is negligible next to the collisions); each of the two collisions
-lasts pi/lam. Fidelity is the marginal probability of finding the
-atoms in the target level pair, photon number traced out.
+the compiled steps, and reads the atomic populations at the end. A
+step is plain data: (atom, u2), an instantaneous 2x2 pulse on atom 1
+or 2, or None, a collision lasting pi/lam. Fidelity is the marginal
+probability of finding the atoms in the target level pair, photon
+number traced out.
 
 Pulse compilation decomposes each logical gate into what the classical
 sources actually drive, dropping global phases:
@@ -14,7 +14,7 @@ sources actually drive, dropping global phases:
     H_j        Z_j(pi) after R_y(-pi/2)
     P_j(theta) Z_j(theta + pi) after R_y(-pi/2)
 
-where R_y is a resonant Rabi rotation and Z_j a Stark-induced phase.
+where R_y (gates.y_rot) is a resonant Rabi rotation and Z_j a Stark phase.
 A fractional pulse-duration error epsilon scales every Rabi angle by
 (1 + epsilon); the "all_angles" error model scales the Stark angles
 too. Collision durations are never scaled: they are set by the atoms'
@@ -49,7 +49,7 @@ from .cavity import (
     excitation_number,
     qpg_gate_time,
 )
-from .gates import oracle_angles, z_rot
+from .gates import oracle_angles, y_rot, z_rot
 from .linalg import NumericalError, apply, embed
 
 #: Marginal-table label of each target item, indexed by target.
@@ -100,95 +100,40 @@ class ExperimentConfig:
             raise ConfigError(f"error_model must be one of {ERROR_MODELS}, got {self.error_model!r}")
 
 
-@dataclass
-class PulseOp:
-    """One step of the physical sequence.
-
-    kind "rabi_rotation": resonant rotation by `angle` about y, on atom
-    1 or 2; the sources drive no other axis.
-    kind "stark_z": Stark-induced z rotation by `angle` on one atom.
-    kind "collision": joint evolution in the cavity for duration_s.
+def compile_pulses(target, epsilon, error_model):
+    """The steps of one search: P on both atoms, collision, H on both
+    atoms, collision, S on both atoms. A pulse is (atom, y_rot or z_rot
+    matrix), a collision None. Rabi angles are scaled by (1 + epsilon);
+    Stark angles only under error_model "all_angles"; collisions never.
     """
-
-    kind: str
-    angle: float = 0.0
-    atom: int = 0
-    duration_s: float = 0.0
-
-    def __post_init__(self):
-        if self.kind in ("rabi_rotation", "stark_z"):
-            if not np.isfinite(self.angle):
-                raise ValueError(f"{self.kind} angle must be finite, got {self.angle}")
-            if self.atom not in (1, 2):
-                raise ValueError(f"{self.kind} needs atom 1 or 2, got {self.atom}")
-        elif self.kind == "collision":
-            if not self.duration_s > 0:
-                raise ValueError(f"collision duration must be positive, got {self.duration_s}")
-        else:
-            raise ValueError(f"unknown pulse kind {self.kind!r}")
-
-    @classmethod
-    def rabi(cls, angle, atom):
-        return cls(kind="rabi_rotation", angle=angle, atom=atom)
-
-    @classmethod
-    def stark(cls, angle, atom):
-        return cls(kind="stark_z", angle=angle, atom=atom)
-
-    @classmethod
-    def collision(cls, duration_s):
-        return cls(kind="collision", duration_s=duration_s)
-
-
-def compile_pulses(target, epsilon, error_model, gate_time_s):
-    """The full pulse list for one search: P on both atoms, collision,
-    H on both atoms, collision, S on both atoms.
-
-    Rabi angles are scaled by (1 + epsilon); Stark angles only under
-    error_model "all_angles"; collision durations never.
-    """
-    if error_model not in ERROR_MODELS:
-        raise ConfigError(f"error_model must be one of {ERROR_MODELS}, got {error_model!r}")
     theta1, theta2 = oracle_angles(target)
     rabi_scale = 1.0 + epsilon
     stark_scale = 1.0 + epsilon if error_model == "all_angles" else 1.0
 
-    ops = []
+    steps = []
     for atom, theta in ((1, theta1), (2, theta2)):
-        ops.append(PulseOp.rabi(-np.pi / 2 * rabi_scale, atom))
-        ops.append(PulseOp.stark((theta + np.pi) * stark_scale, atom))
-    ops.append(PulseOp.collision(gate_time_s))
+        steps.append((atom, y_rot(-np.pi / 2 * rabi_scale)))
+        steps.append((atom, z_rot((theta + np.pi) * stark_scale)))
+    steps.append(None)
     for atom in (1, 2):
-        ops.append(PulseOp.rabi(-np.pi / 2 * rabi_scale, atom))
-        ops.append(PulseOp.stark(np.pi * stark_scale, atom))
-    ops.append(PulseOp.collision(gate_time_s))
+        steps.append((atom, y_rot(-np.pi / 2 * rabi_scale)))
+        steps.append((atom, z_rot(np.pi * stark_scale)))
+    steps.append(None)
     for atom in (1, 2):
-        ops.append(PulseOp.rabi(np.pi / 2 * rabi_scale, atom))
-    return ops
+        steps.append((atom, y_rot(np.pi / 2 * rabi_scale)))
+    return steps
 
 
-def rabi_unitary(angle):
-    """Resonant rotation by `angle` about y, the real matrix R_y(angle)."""
-    c = np.cos(angle / 2)
-    s = np.sin(angle / 2)
-    return np.array([[c, -s], [s, c]])
-
-
-def pulse_unitary(op, basis):
-    """The full-space unitary of a single-atom pulse.
+def pulse_unitary(step, basis):
+    """The full-space unitary of a pulse step (atom, u2).
 
     Atom 2's rotation acts on its {g, i} logical pair and leaves e
     untouched: the pulse frequencies address the g <-> i transition
     only.
     """
-    if op.kind == "rabi_rotation":
-        u2 = rabi_unitary(op.angle)
-    elif op.kind == "stark_z":
-        u2 = z_rot(op.angle)
-    else:
-        raise ValueError(f"no pulse unitary for kind {op.kind!r}")
+    atom, u2 = step
     dims = [2, 3, basis.n_fock]
-    if op.atom == 1:
+    if atom == 1:
         return embed(u2, dims, 0)
     u3 = np.eye(3, dtype=complex)
     u3[:2, :2] = u2
@@ -217,25 +162,21 @@ def run_physical(config):
     params = CouplingParams.from_ratio(config.omega_over_2pi, config.delta_over_omega)
     basis = PhysicalBasis(config.n_max)
     t_gate = qpg_gate_time(params)
-    if not np.isfinite(t_gate):
-        raise NumericalError(f"gate time overflowed to {t_gate}")
-    pulses = compile_pulses(config.target, config.epsilon, config.error_model, t_gate)
 
     n_diag = np.real(np.diag(excitation_number(basis)))
-    state = basis_state(basis, A1_G, A2_G, 0)
-    segments = []
-    for op in pulses:
-        if op.kind == "collision":
-            state = evolve_collision(state, params, op.duration_s, config.collision_model)
+    amps = basis_state(basis, A1_G, A2_G, 0).amplitudes
+    for step in compile_pulses(config.target, config.epsilon, config.error_model):
+        if step is None:
+            state = evolve_collision(PhysicalState(amps, basis), params, t_gate, config.collision_model)
+            amps = state.amplitudes
             if config.collision_model == "exact":
                 # cavity frame -> atomic frame, where the pulse
                 # rotations are defined
-                align = np.exp(1j * params.delta * op.duration_s * n_diag)
-                state = PhysicalState(align * state.amplitudes, basis)
-            segments.append(op.duration_s)
+                amps = np.exp(1j * params.delta * t_gate * n_diag) * amps
         else:
-            state = PhysicalState(apply(pulse_unitary(op, basis), state.amplitudes), basis)
+            amps = apply(pulse_unitary(step, basis), amps)
 
+    state = PhysicalState(amps, basis)
     table = atomic_marginal(state)
     populations = {
         label: float(p)
@@ -243,7 +184,7 @@ def run_physical(config):
     }
     probs = np.abs(state.amplitudes) ** 2
     leaked = float(probs.reshape(2, 3, basis.n_fock)[:, :, 1:].sum())
-    timing = RunTiming(tuple(segments), float(sum(segments)))
+    timing = RunTiming((t_gate, t_gate), float(2 * t_gate))
     return RunResult(
         fidelity=populations[TARGET_LABELS[config.target]],
         populations=populations,

@@ -10,6 +10,7 @@ hold exactly:
 
     hadamard()    (1/sqrt 2) [[1, 1], [1, -1]]
     x_rot(t)      [[cos(t/2),  i sin(t/2)], [i sin(t/2), cos(t/2)]]
+    y_rot(t)      [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]
     z_rot(t)      diag(e^{-i t/2}, e^{+i t/2})
 
     z_rot(+-t) == hadamard() @ x_rot(-+t) @ hadamard()
@@ -48,6 +49,11 @@ def hadamard():
 def x_rot(theta):
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return np.array([[c, 1j * s], [1j * s, c]])
+
+
+def y_rot(theta):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]])
 
 
 def z_rot(theta):

@@ -40,7 +40,8 @@ def propagator(h, t):
     """exp(-i h t) for a Hermitian matrix h and a duration t >= 0 (s).
 
     Raises ValueError for a non-Hermitian input and NumericalError when
-    the entries are not finite or the result fails its unitarity check.
+    the entries or the phases w*t are not finite, or the result fails its
+    unitarity check.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -55,7 +56,11 @@ def propagator(h, t):
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = -1j * w * t
+    if not np.all(np.isfinite(phase)):
+        raise NumericalError(f"propagator phases overflow at t = {t}")
+    u = (v * np.exp(phase)) @ v.conj().T
     if not is_unitary(u):
         raise NumericalError("propagator failed its unitarity check")
     return u
@@ -70,16 +75,6 @@ def apply(u, s):
             f"dimension mismatch: operator {u.shape} on state of length {s.shape[0]}"
         )
     return u @ s
-
-
-def overlap_probability(a, b):
-    """|<a|b>|^2, insensitive to the global phase of either argument."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    z = np.vdot(a, b)
-    return float(z.real * z.real + z.imag * z.imag)
 
 
 def embed(u, subsystem_dims, which):

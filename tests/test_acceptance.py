@@ -187,7 +187,7 @@ def test_criterion_8_excitation_number_and_truncation():
         basis_state(basis, a1, a2, 0) for a1 in range(2) for a2 in (0, 1)
     ]
     prepared = basis_state(basis, 0, 0, 0)
-    for op in compile_pulses(3, 0.0, "rabi_only", t)[:4]:
+    for op in compile_pulses(3, 0.0, "rabi_only")[:4]:
         prepared = PhysicalState(
             apply(pulse_unitary(op, basis), prepared.amplitudes), basis
         )

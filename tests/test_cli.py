@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -294,11 +295,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["simulate", "feasibility"])
     def test_overflowing_coupling_is_exit_3(self, capsys, command):
-        code, out, err = run_cli(capsys, command, "--omega-over-2pi=1e300")
+        # omega^2 overflows at 1e300, is zero at 1e-170 and subnormal at
+        # 1e-160, where lam = omega^2 / (4 delta) has lost its precision
+        for value in ("1e300", "1e-170", "1e-160"):
+            code, out, err = run_cli(capsys, command, f"--omega-over-2pi={value}")
+            assert code == 3, value
+            assert out == ""
+            assert err.startswith("numerical error:")
+            assert "Traceback" not in err
+
+    def test_overflowing_phase_is_exit_3_without_warnings(self, capsys):
+        # delta t overflows in the collision propagator's phases
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "simulate", "--delta-over-omega=1e300")
         assert code == 3
         assert out == ""
         assert err.startswith("numerical error:")
-        assert "Traceback" not in err
 
     def test_config_failure_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--delta-over-omega", "0.5")

@@ -1,20 +1,24 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_grover.experiment import (
+    ERROR_MODELS,
     TARGET_LABELS,
     ConfigError,
     ExperimentConfig,
-    PulseOp,
     compile_pulses,
     feasibility_report,
     pulse_unitary,
-    rabi_unitary,
     run_physical,
     sweep_detuning,
     sweep_error,
 )
-from cavity_grover.gates import hadamard, oracle_angles, p_gate, s_gate, z_rot
+from cavity_grover.gates import hadamard, oracle_angles, p_gate, s_gate, y_rot, z_rot
 from cavity_grover.cavity import PhysicalBasis
 from cavity_grover.linalg import equal_up_to_global_phase
 
@@ -67,64 +71,50 @@ class TestExperimentConfig:
             ExperimentConfig(**overrides)
 
 
-class TestPulseOp:
-    def test_constructors(self):
-        rabi = PulseOp.rabi(np.pi / 2, 1)
-        assert rabi.kind == "rabi_rotation"
-        stark = PulseOp.stark(np.pi, 2)
-        assert stark.kind == "stark_z"
-        coll = PulseOp.collision(GATE_TIME)
-        assert coll.kind == "collision"
-        assert coll.duration_s == GATE_TIME
+#: Positions of the two collisions (None) in the compiled steps, and of
+#: the Rabi (y_rot) and Stark (z_rot) pulses around them.
+COLLISIONS = (4, 9)
+RABI = (0, 2, 5, 7, 10, 11)
+STARK = (1, 3, 6, 8)
 
-    def test_rejects_bad_atom(self):
-        with pytest.raises(ValueError, match="atom"):
-            PulseOp.rabi(np.pi, 0)
 
-    def test_rejects_nonfinite_angle(self):
-        with pytest.raises(ValueError, match="finite"):
-            PulseOp.stark(float("inf"), 1)
+def rabi_angle(u):
+    return 2 * np.arctan2(u[1, 0], u[0, 0])
 
-    def test_rejects_nonpositive_collision(self):
-        with pytest.raises(ValueError, match="duration"):
-            PulseOp.collision(0.0)
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            PulseOp(kind="microwave")
+def stark_angle(u):
+    return 2 * np.angle(u[1, 1])
 
 
 class TestCompilePulses:
     def test_sequence_shape(self):
-        ops = compile_pulses(3, 0.0, "rabi_only", GATE_TIME)
-        kinds = [op.kind for op in ops]
-        assert kinds == [
-            "rabi_rotation", "stark_z", "rabi_rotation", "stark_z",
-            "collision",
-            "rabi_rotation", "stark_z", "rabi_rotation", "stark_z",
-            "collision",
-            "rabi_rotation", "rabi_rotation",
-        ]
-        atoms = [op.atom for op in ops if op.kind != "collision"]
+        steps = compile_pulses(3, 0.0, "rabi_only")
+        assert len(steps) == 12
+        assert [k for k, step in enumerate(steps) if step is None] == list(COLLISIONS)
+        atoms = [step[0] for step in steps if step is not None]
         assert atoms == [1, 1, 2, 2, 1, 1, 2, 2, 1, 2]
+        for k in RABI:
+            u = steps[k][1]
+            assert np.isrealobj(u)
+            assert np.allclose(u, y_rot(rabi_angle(u)), rtol=0, atol=1e-15)
+        for k in STARK:
+            u = steps[k][1]
+            assert u[0, 1] == u[1, 0] == 0
+            assert np.isclose(u[0, 0], np.conj(u[1, 1]), rtol=0, atol=1e-15)
 
-    def composed(self, ops, atom):
+    def composed(self, steps, atom):
         u = np.eye(2, dtype=complex)
-        for op in ops:
-            if op.kind == "collision" or op.atom != atom:
-                continue
-            if op.kind == "rabi_rotation":
-                u = rabi_unitary(op.angle) @ u
-            else:
-                u = z_rot(op.angle) @ u
+        for step in steps:
+            if step is not None and step[0] == atom:
+                u = step[1] @ u
         return u
 
     @pytest.mark.parametrize("target", [0, 1, 2, 3])
     @pytest.mark.parametrize("atom", [1, 2])
     def test_ideal_pulses_build_the_gates(self, target, atom):
-        ops = compile_pulses(target, 0.0, "rabi_only", GATE_TIME)
+        steps = compile_pulses(target, 0.0, "rabi_only")
         theta = oracle_angles(target)[atom - 1]
-        first, second, third = ops[:4], ops[5:9], ops[10:]
+        first, second, third = steps[:4], steps[5:9], steps[10:]
         assert equal_up_to_global_phase(
             self.composed(first, atom), p_gate(theta), tol=1e-12
         )
@@ -136,57 +126,39 @@ class TestCompilePulses:
         )
 
     def test_rabi_angles_scale_with_epsilon(self):
-        ideal = compile_pulses(3, 0.0, "rabi_only", GATE_TIME)
-        skewed = compile_pulses(3, 0.05, "rabi_only", GATE_TIME)
-        for op0, op1 in zip(ideal, skewed):
-            if op0.kind == "rabi_rotation":
-                assert op1.angle == pytest.approx(1.05 * op0.angle, rel=1e-15)
+        ideal = compile_pulses(3, 0.0, "rabi_only")
+        skewed = compile_pulses(3, 0.05, "rabi_only")
+        for k in RABI:
+            want = y_rot(1.05 * rabi_angle(ideal[k][1]))
+            assert np.allclose(skewed[k][1], want, rtol=0, atol=1e-15)
 
     def test_stark_angles_fixed_under_rabi_only(self):
-        ideal = compile_pulses(3, 0.0, "rabi_only", GATE_TIME)
-        skewed = compile_pulses(3, 0.05, "rabi_only", GATE_TIME)
-        for op0, op1 in zip(ideal, skewed):
-            if op0.kind == "stark_z":
-                assert op1.angle == op0.angle
+        ideal = compile_pulses(3, 0.0, "rabi_only")
+        skewed = compile_pulses(3, 0.05, "rabi_only")
+        for k in STARK:
+            assert np.array_equal(skewed[k][1], ideal[k][1])
 
     def test_stark_angles_scale_under_all_angles(self):
-        ideal = compile_pulses(1, 0.0, "all_angles", GATE_TIME)
-        skewed = compile_pulses(1, 0.05, "all_angles", GATE_TIME)
-        for op0, op1 in zip(ideal, skewed):
-            if op0.kind == "stark_z":
-                assert op1.angle == pytest.approx(1.05 * op0.angle, rel=1e-15)
+        ideal = compile_pulses(1, 0.0, "all_angles")
+        skewed = compile_pulses(1, 0.05, "all_angles")
+        for k in STARK:
+            want = z_rot(1.05 * stark_angle(ideal[k][1]))
+            assert np.allclose(skewed[k][1], want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("error_model", ["rabi_only", "all_angles"])
     def test_collisions_never_scaled(self, error_model):
-        ops = compile_pulses(3, 0.05, error_model, GATE_TIME)
-        durations = [op.duration_s for op in ops if op.kind == "collision"]
-        assert durations == [GATE_TIME, GATE_TIME]
-
-    def test_rejects_unknown_error_model(self):
-        with pytest.raises(ConfigError, match="error_model"):
-            compile_pulses(3, 0.0, "stark_only", GATE_TIME)
+        # collisions carry no duration: every one lasts pi/lam
+        steps = compile_pulses(3, 0.05, error_model)
+        assert [steps[k] for k in COLLISIONS] == [None, None]
+        config = ExperimentConfig(epsilon=0.05, error_model=error_model)
+        assert run_physical(config).timing.segments_s == (GATE_TIME, GATE_TIME)
 
 
 class TestPulseUnitaries:
-    def test_axis_y_is_a_real_rotation(self):
-        theta = 0.73
-        expected = np.array(
-            [
-                [np.cos(theta / 2), -np.sin(theta / 2)],
-                [np.sin(theta / 2), np.cos(theta / 2)],
-            ],
-            dtype=complex,
-        )
-        assert np.allclose(rabi_unitary(theta), expected, atol=1e-15)
-
-    def test_unitary(self):
-        u = rabi_unitary(0.4)
-        assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
-
     def test_atom2_pulse_spares_e(self):
         # atom 2's drive addresses g <-> i; its e level must ride along
         basis = PhysicalBasis(n_max=1)
-        u = pulse_unitary(PulseOp.rabi(np.pi / 2, 2), basis)
+        u = pulse_unitary((2, y_rot(np.pi / 2)), basis)
         for a1 in range(2):
             for n in range(2):
                 k = basis.index(a1, 2, n)
@@ -196,14 +168,9 @@ class TestPulseUnitaries:
 
     def test_atom1_pulse_ignores_atom2_and_field(self):
         basis = PhysicalBasis(n_max=1)
-        u = pulse_unitary(PulseOp.stark(0.9, 1), basis)
+        u = pulse_unitary((1, z_rot(0.9)), basis)
         expected = np.kron(z_rot(0.9), np.eye(6, dtype=complex))
         assert np.allclose(u, expected, atol=1e-15)
-
-    def test_collision_has_no_pulse_unitary(self):
-        basis = PhysicalBasis(n_max=1)
-        with pytest.raises(ValueError, match="kind"):
-            pulse_unitary(PulseOp.collision(GATE_TIME), basis)
 
 
 class TestRunPhysical:
@@ -330,6 +297,59 @@ class TestSweeps:
             sweep_error(ExperimentConfig(), [])
         with pytest.raises(ConfigError, match="at least one"):
             sweep_detuning(ExperimentConfig(), [])
+
+
+@st.composite
+def configs(draw, n_max=st.sampled_from([1, 2, 3, 5])):
+    """Random configurations over both models, delta/omega from 1 to 100
+    and |epsilon| <= 0.5."""
+    return ExperimentConfig(
+        omega_over_2pi=draw(st.floats(1e3, 1e6)),
+        delta_over_omega=draw(st.floats(1.0, 100.0)),
+        target=draw(st.sampled_from([0, 1, 2, 3])),
+        epsilon=draw(st.floats(-0.5, 0.5)),
+        n_max=draw(n_max),
+        collision_model=draw(st.sampled_from(["exact", "effective"])),
+        error_model=draw(st.sampled_from(ERROR_MODELS)),
+    )
+
+
+def quiet_run(config):
+    """run_physical without the below-4 dispersive-ratio warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return run_physical(config)
+
+
+class TestRunInvariants:
+    """What the per-step state checks used to guard, asserted on whole
+    runs: the sequence is unitary, the Fock cutoff is converged, and a
+    sweep is nothing but repeated runs."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(config=configs())
+    def test_populations_sum_to_one(self, config):
+        result = quiet_run(config)
+        assert abs(sum(result.populations.values()) - 1.0) <= 1e-12
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(config=configs(n_max=st.just(2)), n_max=st.sampled_from([3, 5, 8]))
+    def test_fock_cutoff_two_is_converged(self, config, n_max):
+        # only N <= 2 is reachable before the last collision
+        shallow = quiet_run(config)
+        deep = quiet_run(replace(config, n_max=n_max))
+        for label, p in shallow.populations.items():
+            assert abs(deep.populations[label] - p) <= 1e-9
+        assert abs(deep.leaked_photon_probability - shallow.leaked_photon_probability) <= 1e-9
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(config=configs(), epsilons=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4))
+    def test_error_sweep_is_a_loop_of_runs(self, config, epsilons):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            curve = sweep_error(config, epsilons)
+        direct = [quiet_run(replace(config, epsilon=eps)).fidelity for eps in epsilons]
+        assert curve == list(zip(epsilons, direct))
 
 
 class TestFeasibilityReport:

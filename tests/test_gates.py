@@ -11,6 +11,7 @@ from cavity_grover.gates import (
     run_ideal,
     s_gate,
     x_rot,
+    y_rot,
     z_rot,
 )
 from cavity_grover.linalg import apply, equal_up_to_global_phase, is_unitary, tensor
@@ -42,6 +43,21 @@ class TestSingleQubitGates:
 
     def test_x_rot_pi_on_zero(self):
         assert np.allclose(x_rot(np.pi) @ [1, 0], [0, 1j], atol=1e-12)
+
+    def test_y_rot_is_a_real_rotation(self):
+        theta = 0.73
+        expected = np.array(
+            [
+                [np.cos(theta / 2), -np.sin(theta / 2)],
+                [np.sin(theta / 2), np.cos(theta / 2)],
+            ],
+            dtype=complex,
+        )
+        assert np.allclose(y_rot(theta), expected, atol=1e-15)
+
+    def test_y_rot_is_unitary(self):
+        u = y_rot(0.4)
+        assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
     def test_z_rot_zero(self):
         assert np.allclose(z_rot(0), np.eye(2), atol=1e-15)
