@@ -23,9 +23,10 @@ the collision reduces to the zero-photon effective generator
     lam = omega^2 / (4 delta),
 
 a cavity Lamb shift on each excited atom plus an excitation exchange
-between them. Evolving H_eff for t = pi/lam returns the exchange to
-the identity and leaves exactly one pi phase on the doubly excited
-logical state: the quantum phase gate diag(1, 1, 1, -1).
+between them. Every collision lasts t = pi/lam, where exp(-i H_eff t) is
+the identity but for one pi phase on e1 i2: the quantum phase gate
+diag(1, 1, 1, -1) on the logical states. The effective collision is that
+sign flip at every photon number (phase_gate_signs), not an evolution.
 """
 
 from __future__ import annotations
@@ -42,17 +43,6 @@ from .linalg import NumericalError, propagator, tensor
 # Level indices within each atom.
 A1_G, A1_E = 0, 1
 A2_G, A2_I, A2_E = 0, 1, 2
-
-#: Basis order of the matrix returned by hamiltonian_effective.
-EFFECTIVE_BASIS = ("g1g2", "g1i2", "e1g2", "g1e2", "e1i2")
-
-#: Indices of the logical states {g1g2, g1i2, e1g2, e1i2} within
-#: EFFECTIVE_BASIS; the exchange partner g1e2 sits between the last two.
-EFFECTIVE_LOGICAL_INDICES = (0, 1, 2, 4)
-
-#: Where each EFFECTIVE_BASIS state sits among the six two-atom states
-#: a1 * 3 + a2 (g1g2, g1i2, g1e2, e1g2, e1i2, e1e2).
-EFFECTIVE_IN_ATOMIC = (0, 1, 3, 2, 4)
 
 
 @dataclass
@@ -118,7 +108,7 @@ class CouplingParams:
     lam:   derived collision rate omega^2 / (4 delta) (rad/s)
 
     The constructor enforces delta/omega >= 1 and warns below 4, where
-    the dispersive picture behind the effective generator degrades.
+    the dispersive picture behind the effective collision degrades.
     omega^2 or lam outside the normal floats (overflow, or underflow to a
     subnormal or zero) raises NumericalError, so t = pi/lam is finite.
     """
@@ -140,7 +130,7 @@ class CouplingParams:
             warnings.warn(
                 f"dispersive ratio delta/omega = {ratio:g} is below 4; "
                 "the effective collision picture degrades this close to resonance",
-                stacklevel=2,
+                stacklevel=3,
             )
         try:
             omega_sq = self.omega**2
@@ -210,56 +200,25 @@ def excitation_number(basis):
     return n
 
 
-def hamiltonian_effective(params):
-    """The zero-photon collision generator on the five-state atomic
-    basis EFFECTIVE_BASIS = (g1g2, g1i2, e1g2, g1e2, e1i2).
-
-    Diagonal lam on each singly excited e state, exchange lam between
-    e1g2 and g1e2, zeros on the two ground rows.
-    """
-    lam = params.lam
-    h = np.zeros((5, 5), dtype=complex)
-    h[2, 2] = lam
-    h[3, 3] = lam
-    h[4, 4] = lam
-    h[2, 3] = lam
-    h[3, 2] = lam
-    return h
-
-
 def qpg_gate_time(params):
     """Collision duration pi/lam = 4 pi delta / omega^2 realizing the
     phase gate; finite, since CouplingParams keeps lam a normal float."""
     return np.pi / params.lam
 
 
-def _effective_hamiltonian_full(params, basis):
-    """hamiltonian_effective lifted to the full product space.
-
-    The five EFFECTIVE_BASIS states go to their places among the six
-    two-atom states; the doubly excited e1 e2 sits at 2 lam with no
-    exchange partner; the field carries the identity.
-    """
-    atomic = np.zeros((6, 6), dtype=complex)
-    atomic[np.ix_(EFFECTIVE_IN_ATOMIC, EFFECTIVE_IN_ATOMIC)] = hamiltonian_effective(params)
-    atomic[5, 5] = 2 * params.lam
-    return tensor(atomic, np.eye(basis.n_fock, dtype=complex))
+def phase_gate_signs(basis):
+    """The effective collision, exp(-i H_eff pi/lam), as the diagonal of
+    the full-space unitary: -1 on |e1 i2, n> for every n, +1 elsewhere."""
+    signs = np.ones((2, 3, basis.n_fock))
+    signs[A1_E, A2_I] = -1.0
+    return signs.ravel()
 
 
-def evolve_collision(state, params, t, model="exact"):
-    """Evolve a physical state through one collision of duration t (s).
-
-    model "exact" uses hamiltonian_exact, "effective" the lifted
-    zero-photon generator. Both are evaluated in a single
-    eigendecomposition step.
-    """
-    if model == "exact":
-        h = hamiltonian_exact(params, state.basis)
-    elif model == "effective":
-        h = _effective_hamiltonian_full(params, state.basis)
-    else:
-        raise ValueError(f"unknown collision model {model!r}")
-    u = propagator(h, t)
+def evolve_collision(state, params, t):
+    """Evolve a physical state through one exact collision of duration
+    t (s): hamiltonian_exact in a single eigendecomposition step, in the
+    frame rotating at the cavity frequency."""
+    u = propagator(hamiltonian_exact(params, state.basis), t)
     return PhysicalState(u @ state.amplitudes, state.basis)
 
 

@@ -119,7 +119,7 @@ def _add_config_flags(sp):
                     help="detuning in units of omega (default 4.0)")
     sp.add_argument("--target", type=int, help="searched item 0..3 (default 3)")
     sp.add_argument("--epsilon", type=float, help="fractional pulse error (default 0)")
-    sp.add_argument("--n-max", dest="n_max", type=int, help="Fock cutoff (default 2)")
+    sp.add_argument("--n-max", dest="n_max", type=int, help="Fock cutoff, at most 100 (default 2)")
     sp.add_argument("--collision-model", dest="collision_model",
                     help="exact or effective (default exact)")
     sp.add_argument("--error-model", dest="error_model",
@@ -149,8 +149,8 @@ def cmd_simulate(args):
         "fidelity": result.fidelity,
         "populations": {label: result.populations[label] for label in TARGET_LABELS},
         "leaked_photon_probability": result.leaked_photon_probability,
-        "gate_time_s": result.timing.segments_s[0],
-        "total_time_s": result.timing.total_s,
+        "gate_time_s": result.gate_time_s,
+        "total_time_s": result.total_time_s,
     }
     _emit(_json_text(record) + "\n", output)
     return 0

@@ -20,10 +20,10 @@ A fractional pulse-duration error epsilon scales every Rabi angle by
 too. Collision durations are never scaled: they are set by the atoms'
 flight through the mode, not by the pulse clock.
 
-Frames: the collision propagator is generated in the frame rotating at
-the cavity frequency, where the coupling is time independent, while
-the pulse rotations are written in the frame of the atomic
-transitions. After each exact-model collision a diagonal phase
+Frames: the exact collision propagator is generated in the frame
+rotating at the cavity frequency, where the coupling is time
+independent, while the pulse rotations are written in the frame of the
+atomic transitions. After each exact-model collision a diagonal phase
 exp(i delta t N) converts between the two. At the default working
 point delta*t is a multiple of 2 pi and the correction is the
 identity; at other detunings it keeps interleaved pulses and
@@ -47,6 +47,7 @@ from .cavity import (
     basis_state,
     evolve_collision,
     excitation_number,
+    phase_gate_signs,
     qpg_gate_time,
 )
 from .gates import oracle_angles, y_rot, z_rot
@@ -60,6 +61,10 @@ POPULATION_LABELS = ("g1g2", "g1i2", "g1e2", "e1g2", "e1i2", "e1e2")
 
 COLLISION_MODELS = ("exact", "effective")
 ERROR_MODELS = ("rabi_only", "all_angles")
+
+#: Largest Fock cutoff a run accepts: the dynamics reach at most two
+#: photons, while the exact collision's cost grows as n_max^3.
+N_MAX_LIMIT = 100
 
 
 class ConfigError(ValueError):
@@ -92,8 +97,8 @@ class ExperimentConfig:
             raise ConfigError(f"target must be one of 0, 1, 2, 3, got {self.target!r}")
         if not abs(self.epsilon) <= 0.5:
             raise ConfigError(f"epsilon must satisfy |epsilon| <= 0.5, got {self.epsilon}")
-        if self.n_max < 1:
-            raise ConfigError(f"n_max must be at least 1, got {self.n_max}")
+        if not 1 <= self.n_max <= N_MAX_LIMIT:
+            raise ConfigError(f"n_max must be between 1 and {N_MAX_LIMIT}, got {self.n_max}")
         if self.collision_model not in COLLISION_MODELS:
             raise ConfigError(f"collision_model must be one of {COLLISION_MODELS}, got {self.collision_model!r}")
         if self.error_model not in ERROR_MODELS:
@@ -141,20 +146,12 @@ def pulse_unitary(step, basis):
 
 
 @dataclass
-class RunTiming:
-    """Collision durations in order; pulses are instantaneous and
-    contribute nothing."""
-
-    segments_s: tuple
-    total_s: float
-
-
-@dataclass
 class RunResult:
     fidelity: float
     populations: dict  # label -> probability, all six atomic level pairs
-    timing: RunTiming
     leaked_photon_probability: float
+    gate_time_s: float  # each of the two collisions
+    total_time_s: float  # both collisions; pulses are instantaneous
 
 
 def run_physical(config):
@@ -164,15 +161,16 @@ def run_physical(config):
     t_gate = qpg_gate_time(params)
 
     n_diag = np.real(np.diag(excitation_number(basis)))
+    signs = phase_gate_signs(basis)
     amps = basis_state(basis, A1_G, A2_G, 0).amplitudes
     for step in compile_pulses(config.target, config.epsilon, config.error_model):
-        if step is None:
-            state = evolve_collision(PhysicalState(amps, basis), params, t_gate, config.collision_model)
-            amps = state.amplitudes
-            if config.collision_model == "exact":
-                # cavity frame -> atomic frame, where the pulse
-                # rotations are defined
-                amps = np.exp(1j * params.delta * t_gate * n_diag) * amps
+        if step is None and config.collision_model == "effective":
+            amps = signs * amps
+        elif step is None:
+            amps = evolve_collision(PhysicalState(amps, basis), params, t_gate).amplitudes
+            # cavity frame -> atomic frame, where the pulse rotations
+            # are defined
+            amps = np.exp(1j * params.delta * t_gate * n_diag) * amps
         else:
             amps = apply(pulse_unitary(step, basis), amps)
 
@@ -184,12 +182,12 @@ def run_physical(config):
     }
     probs = np.abs(state.amplitudes) ** 2
     leaked = float(probs.reshape(2, 3, basis.n_fock)[:, :, 1:].sum())
-    timing = RunTiming((t_gate, t_gate), float(2 * t_gate))
     return RunResult(
         fidelity=populations[TARGET_LABELS[config.target]],
         populations=populations,
-        timing=timing,
         leaked_photon_probability=leaked,
+        gate_time_s=t_gate,
+        total_time_s=float(2 * t_gate),
     )
 
 

@@ -26,8 +26,6 @@ qubits a single iteration is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import apply, tensor
@@ -86,16 +84,9 @@ def oracle_angles(target):
         raise ValueError(f"target must be one of 0, 1, 2, 3, got {target!r}") from None
 
 
-@dataclass
-class GateStep:
-    """One tagged step of a gate sequence: a name and its 4x4 matrix."""
-
-    name: str
-    matrix: np.ndarray
-
-
 def grover_sequence(target):
-    """The five-step search sequence for one target, first step first.
+    """The five-step search sequence for one target, first step first,
+    as (name, 4x4 matrix) pairs.
 
     Steps are P (oracle-phased preparation on both qubits), QPG, H on
     both qubits, QPG, S on both qubits.
@@ -103,11 +94,11 @@ def grover_sequence(target):
     theta1, theta2 = oracle_angles(target)
     h2 = tensor(hadamard(), hadamard())
     return [
-        GateStep("P", tensor(p_gate(theta1), p_gate(theta2))),
-        GateStep("QPG", i_qpg()),
-        GateStep("H", h2),
-        GateStep("QPG", i_qpg()),
-        GateStep("S", tensor(s_gate(), s_gate())),
+        ("P", tensor(p_gate(theta1), p_gate(theta2))),
+        ("QPG", i_qpg()),
+        ("H", h2),
+        ("QPG", i_qpg()),
+        ("S", tensor(s_gate(), s_gate())),
     ]
 
 
@@ -115,6 +106,6 @@ def run_ideal(target):
     """Run the ideal sequence on |00> and return the 4 final amplitudes."""
     state = np.zeros(4, dtype=complex)
     state[0] = 1.0
-    for step in grover_sequence(target):
-        state = apply(step.matrix, state)
+    for _, matrix in grover_sequence(target):
+        state = apply(matrix, state)
     return state

@@ -89,26 +89,3 @@ def embed(u, subsystem_dims, which):
     for k, dim in enumerate(subsystem_dims):
         out = np.kron(out, u if k == which else np.eye(dim, dtype=complex))
     return out
-
-
-def equal_up_to_global_phase(a, b, tol=1e-10):
-    """True when a equals e^{i phi} b for one phase phi, entrywise within tol.
-
-    The phase is read off the first entry of b whose modulus exceeds tol,
-    so "equal up to a global phase" stays an explicit, testable claim
-    rather than something hidden inside a normalization step.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    fa = a.ravel()
-    fb = b.ravel()
-    anchors = np.flatnonzero(np.abs(fb) > tol)
-    if anchors.size == 0:
-        return bool(np.all(np.abs(fa) <= tol))
-    k = anchors[0]
-    if abs(fa[k]) <= tol:
-        return False
-    phase = (fa[k] / abs(fa[k])) * (abs(fb[k]) / fb[k])
-    return bool(np.all(np.abs(fa - phase * fb) <= tol))

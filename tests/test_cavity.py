@@ -1,11 +1,11 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from effective_reference import effective_collision, equal_up_to_global_phase, hamiltonian_effective
 
 from cavity_grover.cavity import (
-    EFFECTIVE_BASIS,
-    EFFECTIVE_LOGICAL_INDICES,
     CouplingParams,
     PhysicalBasis,
     PhysicalState,
@@ -13,12 +13,13 @@ from cavity_grover.cavity import (
     basis_state,
     evolve_collision,
     excitation_number,
-    hamiltonian_effective,
     hamiltonian_exact,
+    phase_gate_signs,
     qpg_gate_time,
 )
+from cavity_grover.experiment import ExperimentConfig, compile_pulses, pulse_unitary, run_physical
 from cavity_grover.gates import i_qpg
-from cavity_grover.linalg import equal_up_to_global_phase, is_hermitian, propagator
+from cavity_grover.linalg import is_hermitian
 
 OMEGA_OVER_2PI = 5.0e4  # Hz
 
@@ -120,8 +121,13 @@ class TestCouplingParams:
             CouplingParams(omega=0.0, delta=1.0)
 
     def test_warns_between_one_and_four(self):
-        with pytest.warns(UserWarning, match="below 4"):
+        with pytest.warns(UserWarning, match="below 4") as record:
             CouplingParams.from_ratio(OMEGA_OVER_2PI, 2.0)
+        # the warning points at the line that built the params, not at
+        # the dataclass-generated __init__ ("<string>")
+        source = Path(record[0].filename)
+        assert source.is_file()
+        assert source.name == "cavity.py"
 
     def test_silent_at_four(self):
         with warnings.catch_warnings():
@@ -209,7 +215,14 @@ class TestExactCollision:
 
     def evolve(self, a1, a2, n, model="exact"):
         state = basis_state(self.basis, a1, a2, n)
-        return evolve_collision(state, self.params, self.t, model=model)
+        if model == "exact":
+            return evolve_collision(state, self.params, self.t)
+        # the effective collision is the sign diagonal run_physical
+        # applies; it must match the expm of the reference generator
+        out = phase_gate_signs(self.basis) * state.amplitudes
+        ref = effective_collision(self.params.lam, self.basis.n_max) @ state.amplitudes
+        assert np.max(np.abs(out - ref)) <= 1e-12
+        return PhysicalState(out, self.basis)
 
     def test_spectator_branch_amplitudes(self):
         out = self.evolve(1, 1, 0).amplitudes
@@ -252,11 +265,6 @@ class TestExactCollision:
         out = self.evolve(1, 0, 0, model="effective").amplitudes
         assert out[self.basis.index(1, 0, 0)] == pytest.approx(1.0, abs=1e-9)
 
-    def test_unknown_model_rejected(self):
-        state = basis_state(self.basis, 0, 0, 0)
-        with pytest.raises(ValueError, match="collision model"):
-            evolve_collision(state, self.params, self.t, model="adiabatic")
-
     def test_truncation_insensitive(self):
         # single-excitation dynamics never reach the n = 2 rung, so a
         # deeper Fock cut must not move the amplitudes
@@ -287,18 +295,27 @@ class TestExactCollision:
             assert after == pytest.approx(before, abs=1e-9)
 
 
+#: (atom 1, atom 2) levels of the logical states |00>, |01>, |10>, |11>.
+LOGICAL_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 class TestEffectiveGenerator:
     def test_matrix_layout(self):
+        # the reference generator, read through the package's basis
+        # index: lam on each excited e, 2 lam on e1e2, exchange lam
+        # between e1g2 and g1e2, the field untouched
         params = CouplingParams(omega=2.0, delta=8.0)
         lam = params.lam
-        expected = np.zeros((5, 5), dtype=complex)
-        expected[2, 2] = lam
-        expected[3, 3] = lam
-        expected[4, 4] = lam
-        expected[2, 3] = lam
-        expected[3, 2] = lam
-        assert np.array_equal(hamiltonian_effective(params), expected)
-        assert EFFECTIVE_BASIS == ("g1g2", "g1i2", "e1g2", "g1e2", "e1i2")
+        basis = PhysicalBasis(n_max=2)
+        idx = basis.index
+        h = hamiltonian_effective(lam, basis.n_max)
+        expected = np.zeros((basis.dim, basis.dim))
+        for n in range(basis.n_fock):
+            for a1, a2, energy in ((1, 0, lam), (0, 2, lam), (1, 1, lam), (1, 2, 2 * lam)):
+                expected[idx(a1, a2, n), idx(a1, a2, n)] = energy
+            expected[idx(1, 0, n), idx(0, 2, n)] = lam
+            expected[idx(0, 2, n), idx(1, 0, n)] = lam
+        assert np.array_equal(h, expected)
 
     def test_gate_time_default_point(self):
         t = qpg_gate_time(default_params())
@@ -319,25 +336,50 @@ class TestEffectiveGenerator:
         assert np.array_equal(i_qpg(), expected)
 
     def test_generator_realizes_qpg_on_logical_states(self):
-        params = default_params()
-        u5 = propagator(hamiltonian_effective(params), qpg_gate_time(params))
-        logical = np.ix_(EFFECTIVE_LOGICAL_INDICES, EFFECTIVE_LOGICAL_INDICES)
-        assert equal_up_to_global_phase(u5[logical], i_qpg(), tol=1e-10)
+        basis = PhysicalBasis(n_max=2)
+        u = effective_collision(default_params().lam, basis.n_max)
+        logical = [basis.index(a1, a2, 0) for a1, a2 in LOGICAL_LEVELS]
+        assert equal_up_to_global_phase(u[np.ix_(logical, logical)], i_qpg(), tol=1e-10)
         # nothing persists on the exchange partner g1e2
-        for k in EFFECTIVE_LOGICAL_INDICES:
-            assert abs(u5[3, k]) < 1e-10
+        for k in logical:
+            assert abs(u[basis.index(0, 2, 0), k]) < 1e-10
 
     def test_lifted_generator_matches_on_physical_space(self):
+        # the package's sign diagonal is the phase gate, exactly, at
+        # every photon number, and equals the reference evolution
         basis = PhysicalBasis(n_max=2)
-        params = default_params()
-        t = qpg_gate_time(params)
-        logical_levels = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        u = np.zeros((4, 4), dtype=complex)
-        for col, (a1, a2) in enumerate(logical_levels):
-            out = evolve_collision(basis_state(basis, a1, a2, 0), params, t, "effective")
-            for row, (b1, b2) in enumerate(logical_levels):
-                u[row, col] = out.amplitudes[basis.index(b1, b2, 0)]
-        assert equal_up_to_global_phase(u, i_qpg(), tol=1e-9)
+        signs = phase_gate_signs(basis)
+        for n in range(basis.n_fock):
+            logical = [basis.index(a1, a2, n) for a1, a2 in LOGICAL_LEVELS]
+            assert np.array_equal(np.diag(signs[logical]), i_qpg())
+        u = effective_collision(default_params().lam, basis.n_max)
+        assert np.max(np.abs(u - np.diag(signs))) <= 1e-12
+
+
+class TestEffectiveCollisionOracle:
+    @pytest.mark.parametrize("n_max", [1, 2, 5])
+    @pytest.mark.parametrize("ratio", [1.0, 4.0, 7.3, 20.0, 1234.5, 1e8])
+    def test_run_physical_collision_is_expm_of_generator(self, ratio, n_max):
+        # run_physical's effective collision, against expm(-i H_eff pi/lam)
+        # lifted to the full space: directly, and through a whole run
+        # replayed with the reference unitary in place of each collision
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            params = CouplingParams.from_ratio(OMEGA_OVER_2PI, ratio)
+            config = ExperimentConfig(
+                delta_over_omega=ratio, target=1, epsilon=0.03, n_max=n_max,
+                collision_model="effective", error_model="all_angles",
+            )
+            result = run_physical(config)
+        basis = PhysicalBasis(n_max)
+        u = effective_collision(params.lam, n_max)
+        assert np.max(np.abs(u - np.diag(phase_gate_signs(basis)))) <= 1e-12
+        amps = basis_state(basis, 0, 0, 0).amplitudes
+        for step in compile_pulses(config.target, config.epsilon, config.error_model):
+            amps = (u if step is None else pulse_unitary(step, basis)) @ amps
+        want = atomic_marginal(PhysicalState(amps, basis)).ravel()
+        got = np.array(list(result.populations.values()))
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestDispersiveConvergence:

@@ -318,6 +318,14 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_runaway_fock_cutoff_is_exit_2(self, capsys):
+        # refused before any 6 (n_max + 1)-dimensional matrix is allocated
+        code, out, err = run_cli(capsys, "simulate", "--n-max=1000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n_max")
+        assert "Traceback" not in err
+
 
 _RUN_FLAGS = ("--omega-over-2pi", "--delta-over-omega", "--epsilon")
 FUZZ_FLAGS = {

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from effective_reference import equal_up_to_global_phase
 from hypothesis import strategies as st
 
 from cavity_grover.experiment import (
@@ -20,7 +21,6 @@ from cavity_grover.experiment import (
 )
 from cavity_grover.gates import hadamard, oracle_angles, p_gate, s_gate, y_rot, z_rot
 from cavity_grover.cavity import PhysicalBasis
-from cavity_grover.linalg import equal_up_to_global_phase
 
 GATE_TIME = 1.6e-4  # s, pi/lam at the default working point
 
@@ -64,6 +64,7 @@ class TestExperimentConfig:
             ({"error_model": "detuning"}, "error_model"),
             ({"omega_over_2pi": float("inf")}, "omega_over_2pi"),
             ({"delta_over_omega": float("inf")}, "delta_over_omega"),
+            ({"n_max": 101}, "n_max"),
         ],
     )
     def test_rejects_bad_field(self, overrides, fragment):
@@ -151,7 +152,8 @@ class TestCompilePulses:
         steps = compile_pulses(3, 0.05, error_model)
         assert [steps[k] for k in COLLISIONS] == [None, None]
         config = ExperimentConfig(epsilon=0.05, error_model=error_model)
-        assert run_physical(config).timing.segments_s == (GATE_TIME, GATE_TIME)
+        result = run_physical(config)
+        assert (result.gate_time_s, result.total_time_s) == (GATE_TIME, 2 * GATE_TIME)
 
 
 class TestPulseUnitaries:
@@ -232,8 +234,8 @@ class TestRunPhysical:
 
     def test_timing(self):
         result = run_physical(ExperimentConfig())
-        assert result.timing.segments_s == (GATE_TIME, GATE_TIME)
-        assert result.timing.total_s == pytest.approx(3.2e-4, rel=1e-9)
+        assert result.gate_time_s == GATE_TIME
+        assert result.total_time_s == pytest.approx(3.2e-4, rel=1e-9)
 
     def test_deterministic(self):
         first = run_physical(ExperimentConfig(epsilon=0.02))

@@ -2,15 +2,19 @@
 every case in golden/cases.json, compared byte for byte.
 
 Each case's expected record lives in golden/<name>.txt. To regenerate
-the records from the code on the path (only when an output change is
+records from the code on the path (only when an output change is
 intended, and say so in the change log), run
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+which rewrites the named cases only, or every case when no name is
+given. An unknown name is refused before anything is written.
 """
 
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -43,6 +47,12 @@ def test_golden_output(case, tmp_path):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:]
+    unknown = set(names) - {c["name"] for c in CASES}
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(sorted(unknown))}")
     for case in CASES:
+        if names and case["name"] not in names:
+            continue
         with tempfile.TemporaryDirectory() as tmp:
             (GOLDEN / f"{case['name']}.txt").write_text(render(case["argv"], tmp))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from effective_reference import equal_up_to_global_phase
 
 from cavity_grover.linalg import (
     NumericalError,
     apply,
     embed,
-    equal_up_to_global_phase,
     is_unitary,
     propagator,
     tensor,
