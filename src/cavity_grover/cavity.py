@@ -189,15 +189,11 @@ def hamiltonian_exact(params, basis):
 
 
 def excitation_number(basis):
-    """N = a^dag a + |e1><e1| + |e2><e2| on the full product space."""
-    nf = basis.n_fock
-    n = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for a1 in range(2):
-        for a2 in range(3):
-            for k in range(nf):
-                idx = basis.index(a1, a2, k)
-                n[idx, idx] = k + (a1 == A1_E) + (a2 == A2_E)
-    return n
+    """N = a^dag a + |e1><e1| + |e2><e2|, which is diagonal in the
+    product basis, as its diagonal: a length-dim integer vector in the
+    basis's index order."""
+    a1, a2, n = np.indices((2, 3, basis.n_fock))
+    return (n + (a1 == A1_E) + (a2 == A2_E)).ravel()
 
 
 def qpg_gate_time(params):

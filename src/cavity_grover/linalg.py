@@ -1,7 +1,7 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 States are 1-d complex numpy arrays, operators are square complex
-matrices. Every space in this package has at most a few tens of
+matrices. The largest space in this package has 6 (n_max + 1) <= 606
 dimensions, so propagators are computed by full Hermitian
 eigendecomposition: the Hamiltonian is constant within each segment,
 which makes this exact up to floating point with no integrator
@@ -78,7 +78,9 @@ def apply(u, s):
 
 
 def embed(u, subsystem_dims, which):
-    """Lift u acting on subsystem `which` to I x ... x u x ... x I."""
+    """Lift u acting on subsystem `which` to I x ... x u x ... x I. The
+    package applies one-atom operators without it; tests use it as the
+    full-space reference."""
     u = np.asarray(u, dtype=complex)
     if not 0 <= which < len(subsystem_dims):
         raise IndexError(f"subsystem index {which} out of range for {subsystem_dims}")

@@ -1,5 +1,6 @@
-"""Test-side references for the effective collision, sharing no code
-with the package.
+"""Test-side full-space references.
+
+The effective-collision references share no code with the package.
 
 hamiltonian_effective builds the dispersive generator
 
@@ -9,10 +10,22 @@ from single-atom operators, with the field carrying the identity, in
 the package's product order (atom 1 {g, e}) x (atom 2 {g, i, e}) x
 (Fock 0..n_max). effective_collision evolves it with scipy.linalg.expm
 for t = pi/lam, the duration of every collision.
+
+full_space_pulse lifts the package's one-atom pulse unitary to the
+full space with linalg.embed, the form every full-space replay of a run
+applies.
 """
 
 import numpy as np
 from scipy.linalg import expm
+
+from cavity_grover.experiment import pulse_unitary
+from cavity_grover.linalg import embed
+
+
+def full_space_pulse(step, basis):
+    """A pulse step (atom, u2) as a full-space matrix over basis."""
+    return embed(pulse_unitary(step), [2, 3, basis.n_fock], step[0] - 1)
 
 
 def hamiltonian_effective(lam, n_max):

@@ -7,7 +7,7 @@ loosened to make a line turn green.
 """
 
 import numpy as np
-from effective_reference import effective_collision, equal_up_to_global_phase
+from effective_reference import effective_collision, equal_up_to_global_phase, full_space_pulse
 
 from cavity_grover.cavity import (
     CouplingParams,
@@ -23,7 +23,6 @@ from cavity_grover.experiment import (
     ExperimentConfig,
     compile_pulses,
     feasibility_report,
-    pulse_unitary,
     run_physical,
     sweep_detuning,
     sweep_error,
@@ -187,7 +186,7 @@ def test_criterion_8_excitation_number_and_truncation():
     params = CouplingParams.from_ratio(OMEGA_OVER_2PI, 4.0)
     basis = PhysicalBasis(n_max=2)
     t = qpg_gate_time(params)
-    n_op = excitation_number(basis)
+    n_op = np.diag(excitation_number(basis))
 
     starts = [
         basis_state(basis, a1, a2, 0) for a1 in range(2) for a2 in (0, 1)
@@ -195,7 +194,7 @@ def test_criterion_8_excitation_number_and_truncation():
     prepared = basis_state(basis, 0, 0, 0)
     for op in compile_pulses(3, 0.0, "rabi_only")[:4]:
         prepared = PhysicalState(
-            apply(pulse_unitary(op, basis), prepared.amplitudes), basis
+            apply(full_space_pulse(op, basis), prepared.amplitudes), basis
         )
     starts.append(prepared)
 

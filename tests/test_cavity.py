@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from effective_reference import effective_collision, equal_up_to_global_phase, hamiltonian_effective
+from effective_reference import effective_collision, equal_up_to_global_phase, full_space_pulse, hamiltonian_effective
 
 from cavity_grover.cavity import (
     CouplingParams,
@@ -17,7 +17,7 @@ from cavity_grover.cavity import (
     phase_gate_signs,
     qpg_gate_time,
 )
-from cavity_grover.experiment import ExperimentConfig, compile_pulses, pulse_unitary, run_physical
+from cavity_grover.experiment import ExperimentConfig, compile_pulses, run_physical
 from cavity_grover.gates import i_qpg
 from cavity_grover.linalg import is_hermitian
 
@@ -190,7 +190,7 @@ class TestHamiltonianExact:
     def test_commutes_with_excitation_number(self):
         # N is diagonal with small integer entries, so the commutator
         # is not just small, it is exactly zero in floating point
-        n = excitation_number(self.basis)
+        n = np.diag(excitation_number(self.basis))
         comm = self.h @ n - n @ self.h
         assert np.array_equal(comm, np.zeros_like(comm))
 
@@ -198,13 +198,13 @@ class TestHamiltonianExact:
 class TestExcitationNumber:
     def test_diagonal_values(self):
         basis = PhysicalBasis(n_max=2)
-        n = excitation_number(basis)
+        n = np.diag(excitation_number(basis))
         idx = basis.index
         assert n[idx(0, 0, 0), idx(0, 0, 0)] == 0
         assert n[idx(1, 1, 0), idx(1, 1, 0)] == 1
         assert n[idx(0, 1, 1), idx(0, 1, 1)] == 1
         assert n[idx(1, 2, 2), idx(1, 2, 2)] == 4
-        assert np.array_equal(n, np.diag(np.diag(n)))
+        assert excitation_number(basis).shape == (basis.dim,)
 
 
 class TestExactCollision:
@@ -281,7 +281,7 @@ class TestExactCollision:
                     )
 
     def test_mean_excitation_conserved(self):
-        n_op = excitation_number(self.basis)
+        n_op = np.diag(excitation_number(self.basis))
         amps = np.zeros(self.basis.dim, dtype=complex)
         amps[self.basis.index(1, 0, 0)] = 0.5
         amps[self.basis.index(1, 1, 0)] = 0.5
@@ -376,7 +376,7 @@ class TestEffectiveCollisionOracle:
         assert np.max(np.abs(u - np.diag(phase_gate_signs(basis)))) <= 1e-12
         amps = basis_state(basis, 0, 0, 0).amplitudes
         for step in compile_pulses(config.target, config.epsilon, config.error_model):
-            amps = (u if step is None else pulse_unitary(step, basis)) @ amps
+            amps = (u if step is None else full_space_pulse(step, basis)) @ amps
         want = atomic_marginal(PhysicalState(amps, basis)).ravel()
         got = np.array(list(result.populations.values()))
         assert np.max(np.abs(got - want)) <= 1e-12

@@ -4,23 +4,32 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from effective_reference import equal_up_to_global_phase
+from effective_reference import equal_up_to_global_phase, full_space_pulse
 from hypothesis import strategies as st
 
 from cavity_grover.experiment import (
     ERROR_MODELS,
+    POPULATION_LABELS,
     TARGET_LABELS,
     ConfigError,
     ExperimentConfig,
     compile_pulses,
     feasibility_report,
-    pulse_unitary,
     run_physical,
     sweep_detuning,
     sweep_error,
 )
 from cavity_grover.gates import hadamard, oracle_angles, p_gate, s_gate, y_rot, z_rot
-from cavity_grover.cavity import PhysicalBasis
+from cavity_grover.cavity import (
+    CouplingParams,
+    PhysicalBasis,
+    PhysicalState,
+    basis_state,
+    evolve_collision,
+    excitation_number,
+    phase_gate_signs,
+    qpg_gate_time,
+)
 
 GATE_TIME = 1.6e-4  # s, pi/lam at the default working point
 
@@ -65,11 +74,19 @@ class TestExperimentConfig:
             ({"omega_over_2pi": float("inf")}, "omega_over_2pi"),
             ({"delta_over_omega": float("inf")}, "delta_over_omega"),
             ({"n_max": 101}, "n_max"),
+            ({"target": 1.0}, "target"),
+            ({"target": True}, "target"),
+            ({"n_max": 2.0}, "n_max"),
+            ({"n_max": True}, "n_max"),
         ],
     )
     def test_rejects_bad_field(self, overrides, fragment):
         with pytest.raises(ConfigError, match=fragment):
             ExperimentConfig(**overrides)
+
+    def test_accepts_numpy_integers(self):
+        config = ExperimentConfig(target=np.int64(1), n_max=np.int32(3))
+        assert run_physical(config).fidelity > 0.97
 
 
 #: Positions of the two collisions (None) in the compiled steps, and of
@@ -160,7 +177,7 @@ class TestPulseUnitaries:
     def test_atom2_pulse_spares_e(self):
         # atom 2's drive addresses g <-> i; its e level must ride along
         basis = PhysicalBasis(n_max=1)
-        u = pulse_unitary((2, y_rot(np.pi / 2)), basis)
+        u = full_space_pulse((2, y_rot(np.pi / 2)), basis)
         for a1 in range(2):
             for n in range(2):
                 k = basis.index(a1, 2, n)
@@ -170,7 +187,7 @@ class TestPulseUnitaries:
 
     def test_atom1_pulse_ignores_atom2_and_field(self):
         basis = PhysicalBasis(n_max=1)
-        u = pulse_unitary((1, z_rot(0.9)), basis)
+        u = full_space_pulse((1, z_rot(0.9)), basis)
         expected = np.kron(z_rot(0.9), np.eye(6, dtype=complex))
         assert np.allclose(u, expected, atol=1e-15)
 
@@ -352,6 +369,33 @@ class TestRunInvariants:
             curve = sweep_error(config, epsilons)
         direct = [quiet_run(replace(config, epsilon=eps)).fidelity for eps in epsilons]
         assert curve == list(zip(epsilons, direct))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(config=configs(n_max=st.sampled_from([1, 2, 5])))
+    def test_run_matches_full_space_replay(self, config):
+        # every step as a full-space matrix: pulses lifted by embed,
+        # exact collisions as the propagator then the frame phase,
+        # effective collisions as the phase gate's sign diagonal
+        result = quiet_run(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            params = CouplingParams.from_ratio(config.omega_over_2pi, config.delta_over_omega)
+        basis = PhysicalBasis(config.n_max)
+        t = qpg_gate_time(params)
+        frame = np.diag(np.exp(1j * params.delta * t * excitation_number(basis)))
+        amps = basis_state(basis, 0, 0, 0).amplitudes
+        for step in compile_pulses(config.target, config.epsilon, config.error_model):
+            if step is None and config.collision_model == "effective":
+                amps = np.diag(phase_gate_signs(basis)) @ amps
+            elif step is None:
+                amps = frame @ evolve_collision(PhysicalState(amps, basis), params, t).amplitudes
+            else:
+                amps = full_space_pulse(step, basis) @ amps
+        probs = (np.abs(amps) ** 2).reshape(2, 3, basis.n_fock)
+        want = probs.sum(axis=2).ravel()
+        got = np.array([result.populations[label] for label in POPULATION_LABELS])
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert abs(result.leaked_photon_probability - probs[:, :, 1:].sum()) <= 1e-12
 
 
 class TestFeasibilityReport:
