@@ -210,11 +210,16 @@ def phase_gate_signs(basis):
     return signs.ravel()
 
 
+def collision_unitary(params, basis, t):
+    """The exact collision of duration t (s) as a dim x dim unitary:
+    hamiltonian_exact in a single eigendecomposition step, in the frame
+    rotating at the cavity frequency."""
+    return propagator(hamiltonian_exact(params, basis), t)
+
+
 def evolve_collision(state, params, t):
-    """Evolve a physical state through one exact collision of duration
-    t (s): hamiltonian_exact in a single eigendecomposition step, in the
-    frame rotating at the cavity frequency."""
-    u = propagator(hamiltonian_exact(params, state.basis), t)
+    """Evolve a physical state through one exact collision of duration t (s)."""
+    u = collision_unitary(params, state.basis, t)
     return PhysicalState(u @ state.amplitudes, state.basis)
 
 

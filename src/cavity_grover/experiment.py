@@ -20,19 +20,21 @@ A fractional pulse-duration error epsilon scales every Rabi angle by
 too. Collision durations are never scaled: they are set by the atoms'
 flight through the mode, not by the pulse clock.
 
-Frames: the exact collision propagator is generated in the frame
+Frames: the exact collision propagator U is generated in the frame
 rotating at the cavity frequency, where the coupling is time
 independent, while the pulse rotations are written in the frame of the
 atomic transitions. After each exact-model collision a diagonal phase
 exp(i delta t N) converts between the two. At the default working
 point delta*t is a multiple of 2 pi and the correction is the
 identity; at other detunings it keeps interleaved pulses and
-collisions phase-consistent.
+collisions phase-consistent. Both are built once per working point
+(omega, delta, n_max), so once per run and once per error sweep.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -45,13 +47,14 @@ from .cavity import (
     PhysicalState,
     atomic_marginal,
     basis_state,
+    collision_unitary,
     evolve_collision,
     excitation_number,
     phase_gate_signs,
     qpg_gate_time,
 )
 from .gates import oracle_angles, y_rot, z_rot
-from .linalg import NumericalError, apply, embed  # apply, embed: unused, kept for perfbench's tracer
+from .linalg import NumericalError, apply, embed  # apply, embed, evolve_collision: unused, kept for perfbench's tracer
 
 #: Marginal-table label of each target item, indexed by target.
 TARGET_LABELS = ("g1g2", "g1i2", "e1g2", "e1i2")
@@ -71,9 +74,16 @@ class ConfigError(ValueError):
     """An experiment configuration violates its invariants."""
 
 
+def _check_kind(kind, **values):
+    """Refuse, by name, any bool and any input not of numbers.`kind`."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {'an integer' if kind is numbers.Integral else 'a real number'}, got {value!r}")
+
+
 def _check_positive_finite(**values):
-    """Refuse, by name, any physical input that is not a positive finite
-    number."""
+    """Refuse, by name, any physical input that is not a positive finite real."""
+    _check_kind(numbers.Real, **values)
     for name, value in values.items():
         if not 0 < value < math.inf:
             raise ConfigError(f"{name} must be positive and finite, got {value}")
@@ -90,10 +100,8 @@ class ExperimentConfig:
     error_model: str = "rabi_only"
 
     def __post_init__(self):
-        for name in ("target", "n_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        _check_kind(numbers.Integral, target=self.target, n_max=self.n_max)
+        _check_kind(numbers.Real, delta_over_omega=self.delta_over_omega, epsilon=self.epsilon)
         _check_positive_finite(omega_over_2pi=self.omega_over_2pi)
         if not 1 <= self.delta_over_omega < math.inf:
             raise ConfigError(f"delta_over_omega must be finite and at least 1, got {self.delta_over_omega}")
@@ -154,21 +162,31 @@ class RunResult:
     total_time_s: float  # both collisions; pulses are instantaneous
 
 
-def run_physical(config):
-    """Run the full physical sequence for one configuration."""
+def _working_point(config):
+    """What every run at the config's (omega, delta, n_max, collision
+    model) shares: (basis, gate time, start amplitudes, u, diag). A
+    collision maps amps to diag * (u @ amps), or to diag * amps when u
+    is None (the effective model)."""
     params = CouplingParams.from_ratio(config.omega_over_2pi, config.delta_over_omega)
     basis = PhysicalBasis(config.n_max)
     t_gate = qpg_gate_time(params)
+    start = basis_state(basis, A1_G, A2_G, 0).amplitudes
+    if config.collision_model == "effective":
+        return basis, t_gate, start, None, phase_gate_signs(basis)
+    u = collision_unitary(params, basis, t_gate)
+    # cavity frame -> atomic frame, where the pulses are defined;
+    # delta*t is finite here, as the propagator refuses it otherwise
+    frame = np.exp(1j * params.delta * t_gate * excitation_number(basis))
+    return basis, t_gate, start, u, frame
 
-    amps = basis_state(basis, A1_G, A2_G, 0).amplitudes
+
+def _run(config, point):
+    """Run the config's steps from a working point of its own (omega,
+    delta, n_max, collision model)."""
+    basis, t_gate, amps, u, diag = point
     for step in compile_pulses(config.target, config.epsilon, config.error_model):
-        if step is None and config.collision_model == "effective":
-            amps = phase_gate_signs(basis) * amps
-        elif step is None:
-            amps = evolve_collision(PhysicalState(amps, basis), params, t_gate).amplitudes
-            # cavity frame -> atomic frame, where the pulses are defined;
-            # delta*t is finite here, as the propagator refuses it otherwise
-            amps = np.exp(1j * params.delta * t_gate * excitation_number(basis)) * amps
+        if step is None:
+            amps = diag * (amps if u is None else u @ amps)
         else:
             # contract the driven atom's axis of the (a1, a2, n) grid
             subscripts = "ab,bjn->ajn" if step[0] == 1 else "ab,ibn->ian"
@@ -176,10 +194,7 @@ def run_physical(config):
 
     state = PhysicalState(amps, basis)
     table = atomic_marginal(state)
-    populations = {
-        label: float(p)
-        for label, p in zip(POPULATION_LABELS, table.ravel())
-    }
+    populations = {label: float(p) for label, p in zip(POPULATION_LABELS, table.ravel())}
     probs = np.abs(state.amplitudes) ** 2
     leaked = float(probs.reshape(2, 3, basis.n_fock)[:, :, 1:].sum())
     return RunResult(
@@ -191,29 +206,33 @@ def run_physical(config):
     )
 
 
-def _sweep(config, field, values, **fixed):
-    """One run per value of `field`, with the `fixed` fields overriding
-    the config. Returns [(value, fidelity), ...] in input order."""
+def run_physical(config):
+    """Run the full physical sequence for one configuration."""
+    return _run(config, _working_point(config))
+
+
+def _sweep_configs(config, field, values, **fixed):
+    """One validated config per value of `field`, `fixed` overriding."""
     if len(values) == 0:
         raise ConfigError(f"sweep over {field} needs at least one point")
-    out = []
-    for value in values:
-        run_cfg = replace(config, **fixed, **{field: float(value)})
-        out.append((float(value), run_physical(run_cfg).fidelity))
-    return out
+    return [replace(config, **fixed, **{field: float(value)}) for value in values]
 
 
 def sweep_error(config, epsilons):
-    """Fidelity versus epsilon, everything else fixed. Returns
-    [(epsilon, fidelity), ...] in input order."""
-    return _sweep(config, "epsilon", epsilons)
+    """Fidelity versus epsilon, everything else fixed, so every point
+    shares one working point. Returns [(epsilon, fidelity), ...] in
+    input order."""
+    runs = _sweep_configs(config, "epsilon", epsilons)
+    point = _working_point(runs[0])
+    return [(run.epsilon, _run(run, point).fidelity) for run in runs]
 
 
 def sweep_detuning(config, ratios):
     """Fidelity versus delta/omega at epsilon 0 under the exact model,
-    the convergence study behind the default working point. Returns
-    [(ratio, fidelity), ...] in input order."""
-    return _sweep(config, "delta_over_omega", ratios, epsilon=0.0, collision_model="exact")
+    the convergence study behind the default working point; one run per
+    ratio. Returns [(ratio, fidelity), ...] in input order."""
+    runs = _sweep_configs(config, "delta_over_omega", ratios, epsilon=0.0, collision_model="exact")
+    return [(run.delta_over_omega, run_physical(run).fidelity) for run in runs]
 
 
 @dataclass

@@ -19,6 +19,7 @@ from cavity_grover.experiment import (
     sweep_detuning,
     sweep_error,
 )
+from cavity_grover import cavity
 from cavity_grover.gates import hadamard, oracle_angles, p_gate, s_gate, y_rot, z_rot
 from cavity_grover.cavity import (
     CouplingParams,
@@ -78,6 +79,14 @@ class TestExperimentConfig:
             ({"target": True}, "target"),
             ({"n_max": 2.0}, "n_max"),
             ({"n_max": True}, "n_max"),
+            ({"omega_over_2pi": True}, "omega_over_2pi"),
+            ({"delta_over_omega": True}, "delta_over_omega"),
+            ({"epsilon": False}, "epsilon"),
+            ({"omega_over_2pi": "5e4"}, "omega_over_2pi"),
+            ({"delta_over_omega": None}, "delta_over_omega"),
+            ({"omega_over_2pi": 5.0e4 + 0j}, "omega_over_2pi"),
+            ({"epsilon": 0.01 + 0j}, "epsilon"),
+            ({"delta_over_omega": np.True_}, "delta_over_omega"),
         ],
     )
     def test_rejects_bad_field(self, overrides, fragment):
@@ -87,6 +96,14 @@ class TestExperimentConfig:
     def test_accepts_numpy_integers(self):
         config = ExperimentConfig(target=np.int64(1), n_max=np.int32(3))
         assert run_physical(config).fidelity > 0.97
+
+    def test_accepts_ints_and_numpy_reals(self):
+        plain = run_physical(ExperimentConfig(omega_over_2pi=50000, delta_over_omega=4, epsilon=0))
+        config = ExperimentConfig(
+            omega_over_2pi=np.float64(5.0e4), delta_over_omega=np.int64(4), epsilon=np.float64(0.0)
+        )
+        assert run_physical(config) == plain
+        assert plain == run_physical(ExperimentConfig())
 
 
 #: Positions of the two collisions (None) in the compiled steps, and of
@@ -311,6 +328,30 @@ class TestSweeps:
         ((_, fid),) = sweep_detuning(config, [4.0])
         assert fid == pytest.approx(PIN_EXACT_IDEAL, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "call, want",
+        [
+            (lambda: run_physical(ExperimentConfig()), 1),
+            (lambda: sweep_error(ExperimentConfig(), [0.0, 0.01, 0.02, 0.03, 0.04]), 1),
+            (lambda: sweep_detuning(ExperimentConfig(), [4.0, 8.0, 12.0]), 3),
+            (lambda: run_physical(ExperimentConfig(collision_model="effective")), 0),
+        ],
+        ids=["run-exact", "error-sweep", "detuning-sweep", "run-effective"],
+    )
+    def test_collision_built_once_per_working_point(self, monkeypatch, call, want):
+        # both collisions of a run, and every point of an error sweep,
+        # share one (omega, delta, n_max, t) and so one propagator
+        calls = []
+        build = cavity.propagator
+
+        def counting(h, t):
+            calls.append(t)
+            return build(h, t)
+
+        monkeypatch.setattr(cavity, "propagator", counting)
+        call()
+        assert len(calls) == want
+
     def test_empty_sweeps_rejected(self):
         with pytest.raises(ConfigError, match="at least one"):
             sweep_error(ExperimentConfig(), [])
@@ -369,6 +410,21 @@ class TestRunInvariants:
             curve = sweep_error(config, epsilons)
         direct = [quiet_run(replace(config, epsilon=eps)).fidelity for eps in epsilons]
         assert curve == list(zip(epsilons, direct))
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        config=configs(n_max=st.sampled_from([1, 2, 5])),
+        ratios=st.lists(st.floats(1.0, 100.0), min_size=1, max_size=4),
+    )
+    def test_detuning_sweep_is_a_loop_of_runs(self, config, ratios):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            curve = sweep_detuning(config, ratios)
+        direct = [
+            quiet_run(replace(config, delta_over_omega=r, epsilon=0.0, collision_model="exact")).fidelity
+            for r in ratios
+        ]
+        assert curve == list(zip(ratios, direct))
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(config=configs(n_max=st.sampled_from([1, 2, 5])))
@@ -444,4 +500,18 @@ class TestFeasibilityReport:
     )
     def test_rejects_nonpositive_inputs(self, kwargs):
         with pytest.raises(ConfigError, match="positive"):
+            feasibility_report(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, fragment",
+        [
+            ({"omega_over_2pi": True}, "omega_over_2pi"),
+            ({"omega_over_2pi": "5e4"}, "omega_over_2pi"),
+            ({"omega_over_2pi": 5.0e4, "delta_over_omega": None}, "delta_over_omega"),
+            ({"omega_over_2pi": 5.0e4, "interaction_length_m": 0.01 + 0j}, "interaction_length_m"),
+            ({"omega_over_2pi": 5.0e4, "total_time_override_s": True}, "total_time_override_s"),
+        ],
+    )
+    def test_rejects_non_real_inputs(self, kwargs, fragment):
+        with pytest.raises(ConfigError, match=f"{fragment} must be a real number"):
             feasibility_report(**kwargs)
